@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple, Union
@@ -40,7 +41,6 @@ from .errors import (
 from .polynomials import (
     Monomial,
     Polynomial,
-    ReductionBasis,
     build_reduction_basis,
     embed_poly,
     from_monomial,
@@ -93,18 +93,46 @@ class WeilPresentation:
             raise ParseError("presentation file must hold a top-level record")
         return WeilPresentation.from_dict(data)
 
-    def to_dict(self) -> dict:
-        return {
-            "variables": list(self.variables),
-            "relations": list(self.relations),
-            "nilpotency": self.nilpotency,
-        }
+
+# Every algebra with one presentation shares the built state below; the
+# table keeps the INTERN_CAPACITY most recently used presentations.  It
+# is keyed on the presentation itself, not on the echelon signature:
+# presentations of one ideal with different relations print differently.
+INTERN_CAPACITY = 256
+
+
+@lru_cache(maxsize=INTERN_CAPACITY)
+def _built(names: Tuple[str, ...], relations: Tuple[Polynomial, ...], order: int):
+    """Reduction rows, quotient basis, basis index, multiplication table,
+    signature and hash of a validated presentation.  Raises ImproperIdeal
+    when the quotient is zero; failures are not kept in the table."""
+    nvars = len(names)
+    reduction = build_reduction_basis(relations, nvars, order)
+    basis = tuple(reduction.quotient_basis())
+    basis_index = {m: i for i, m in enumerate(basis)}
+    if unit_monomial(nvars) not in basis_index:
+        raise ImproperIdeal("constant monomial not in quotient basis")
+    table: Dict[Tuple[Monomial, Monomial], Tuple[Tuple[Monomial, Fraction], ...]] = {}
+    for i, mi in enumerate(basis):
+        for mj in basis[i:]:
+            prod = mi.mul(mj)
+            if prod.degree >= order:
+                entry: Tuple[Tuple[Monomial, Fraction], ...] = ()
+            elif prod in basis_index:
+                entry = ((prod, Fraction(1)),)
+            else:
+                entry = tuple(reduction.normal_form(from_monomial(prod)).sorted_terms())
+            table[(mi, mj)] = entry
+    rows_sig = tuple((pivot, tuple(row.sorted_terms())) for pivot, row in reduction.rows)
+    sig = (names, order, rows_sig)
+    return reduction, basis, basis_index, table, sig, hash(sig)
 
 
 class WeilAlgebra:
     """Finite-dimensional local quotient with precomputed reduction data
     and multiplication table.  Identity is structural: variable names,
-    nilpotency order, and the canonical echelon rows."""
+    nilpotency order, and the canonical echelon rows.  Algebras are
+    immutable; equal presentations share their built state."""
 
     __slots__ = (
         "names",
@@ -136,18 +164,15 @@ class WeilAlgebra:
                 raise ImproperIdeal(
                     f"relation {rel.format(self.names)} has nonzero constant term"
                 )
-        self.reduction = build_reduction_basis(self.relations, self.nvars, order)
-        self.basis = tuple(self.reduction.quotient_basis())
-        self.basis_index = {m: i for i, m in enumerate(self.basis)}
+        (
+            self.reduction,
+            self.basis,
+            self.basis_index,
+            self._mul_table,
+            self._sig,
+            self._hash,
+        ) = _built(self.names, self.relations, order)
         self.dimension = len(self.basis)
-        if unit_monomial(self.nvars) not in self.basis_index:
-            raise ImproperIdeal("constant monomial not in quotient basis")
-        self._mul_table = self._build_mul_table()
-        rows_sig = tuple(
-            (pivot, tuple(row.sorted_terms())) for pivot, row in self.reduction.rows
-        )
-        self._sig = (self.names, self.order, rows_sig)
-        self._hash = hash(self._sig)
 
     # -- identity ---------------------------------------------------------
     def __eq__(self, other: object) -> bool:
@@ -163,24 +188,6 @@ class WeilAlgebra:
         return f"WeilAlgebra([{', '.join(self.names)}], <{rels}> + m^{self.order})"
 
     # -- structure --------------------------------------------------------
-    def _build_mul_table(self):
-        table: Dict[Tuple[Monomial, Monomial], Tuple[Tuple[Monomial, Fraction], ...]] = {}
-        n = self.dimension
-        for i in range(n):
-            mi = self.basis[i]
-            for j in range(i, n):
-                mj = self.basis[j]
-                prod = mi.mul(mj)
-                if prod.degree >= self.order:
-                    entry: Tuple[Tuple[Monomial, Fraction], ...] = ()
-                elif prod in self.basis_index:
-                    entry = ((prod, Fraction(1)),)
-                else:
-                    nf = self.reduction.normal_form(from_monomial(prod))
-                    entry = tuple(nf.sorted_terms())
-                table[(mi, mj)] = entry
-        return table
-
     def basis_product(self, m1: Monomial, m2: Monomial) -> Tuple[Tuple[Monomial, Fraction], ...]:
         """Normal form of the product of two basis monomials, as
         (basis monomial, rational coefficient) pairs."""
@@ -272,9 +279,6 @@ class WeilElement:
 
     def _zero_scalar(self) -> Scalar:
         return Fraction(0) if self.mode == RATIONAL else 0.0
-
-    def _one_scalar(self) -> Scalar:
-        return Fraction(1) if self.mode == RATIONAL else 1.0
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -380,9 +384,6 @@ class WeilElement:
 
     def nilpotent_part(self) -> "WeilElement":
         return self.sub(self.algebra.const(self.augmentation(), self.mode))
-
-    def is_nilpotent(self) -> bool:
-        return self.augmentation() == 0
 
     def inverse(self) -> "WeilElement":
         """Multiplicative inverse via the finite geometric series; the

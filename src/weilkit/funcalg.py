@@ -154,15 +154,6 @@ class WeilPoly:
             acc = acc.mul(self)
         return acc
 
-    def map_coefficients(self, fn: Callable[[WeilElement], WeilElement], algebra: WeilAlgebra) -> "WeilPoly":
-        acc: Dict[Monomial, WeilElement] = {}
-        for mono, coeff in self.terms.items():
-            image = fn(coeff)
-            if image.coords:
-                cur = acc.get(mono)
-                acc[mono] = image if cur is None else cur.add(image)
-        return WeilPoly(self.nvars, algebra, acc)
-
 
 def wpoly_zero(nvars: int, algebra: WeilAlgebra) -> WeilPoly:
     return WeilPoly(nvars, algebra, {})
@@ -327,9 +318,6 @@ class CarrierPoint:
         for wp in self.data:
             if wp.nvars != self.domain.base_arity or wp.algebra != self.domain.weil:
                 raise AlgebraMismatch("carrier entry does not match the domain")
-
-    def slice(self, start: int, stop: int, space: FragmentSpace) -> "CarrierPoint":
-        return CarrierPoint(space, self.domain, self.data[start:stop])
 
 
 def carrier_space(space: FragmentSpace, domain: Domain, degree: int) -> CarrierSpace:

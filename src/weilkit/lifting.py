@@ -80,6 +80,8 @@ def taylor_coefficients(fn: str, a0: Scalar, count: int, mode: str) -> List[Scal
     ScalarModeError so the caller can decide to re-run in real mode.
     Domain violations (log at <= 0, sqrt at <= 0) are DomainError in
     both modes — sqrt is excluded at 0 because it is not smooth there.
+    In real mode, a point whose coefficients overflow a float is a
+    DomainError too.
     """
     if fn in ("log", "sqrt"):
         if a0 < 0 or (a0 == 0):
@@ -130,7 +132,15 @@ def taylor_coefficients(fn: str, a0: Scalar, count: int, mode: str) -> List[Scal
             return coeffs
         raise ValueError(f"unknown primitive {fn!r}")
 
-    a = float(a0)
+    try:
+        return _real_coefficients(fn, float(a0), count)
+    except ArithmeticError as exc:
+        raise DomainError(
+            f"{fn} Taylor coefficients at {scalar_str(a0)} are out of float range"
+        ) from exc
+
+
+def _real_coefficients(fn: str, a: float, count: int) -> List[float]:
     if fn == "exp":
         e = math.exp(a)
         return [e / factorial(j) for j in range(count)]

@@ -59,9 +59,6 @@ class Monomial:
     def __lt__(self, other: "Monomial") -> bool:
         return self.key() < other.key()
 
-    def __le__(self, other: "Monomial") -> bool:
-        return self.key() <= other.key()
-
     def mul(self, other: "Monomial") -> "Monomial":
         if len(self.exponents) != len(other.exponents):
             raise ValueError("monomial arity mismatch")

@@ -39,10 +39,6 @@ class SuiteReport:
         self.witnesses.extend(other.witnesses)
         self.extra.update(other.extra)
 
-    @property
-    def passed(self) -> bool:
-        return self.failures == 0
-
     def to_record(self) -> Dict[str, Any]:
         record: Dict[str, Any] = {
             "name": self.name,

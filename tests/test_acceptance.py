@@ -6,6 +6,7 @@ way a user would and check against independent oracles (rule-based
 symbolic differentiation, finite differences, combinatorial counting)
 rather than against internals."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -47,6 +48,8 @@ from weilkit.samplers import (
 from weilkit.suites import parse_config, run_suite
 
 REPO = Path(__file__).resolve().parent.parent
+# sha256 of the report that configs/default.json writes as shipped
+GOLDEN_REPORT_SHA256 = "a6067a8007c4b8fdf2063b4ec514e84f05d25e9fc82fd63830363c8f503a18de"
 PRESET_NAMES = ("dual", "jet2", "jet3", "d2")
 
 
@@ -267,3 +270,4 @@ def test_verify_reports_are_deterministic(tmp_path, capsys):
     assert main(["verify", "--config", str(config), "--out", str(out2)]) == 0
     capsys.readouterr()
     assert out1.read_bytes() == out2.read_bytes()
+    assert hashlib.sha256(out1.read_bytes()).hexdigest() == GOLDEN_REPORT_SHA256

@@ -11,10 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weilkit.algebras import (
+    INTERN_CAPACITY,
     PRESETS,
     RATIONAL,
     REAL,
+    WeilAlgebra,
     WeilPresentation,
+    _built,
     compose_morphism,
     identity_morphism,
     jet_algebra,
@@ -81,6 +84,70 @@ def test_structural_identity():
     a = algebra(("x",), ("x^2",), 4)
     b = algebra(("x",), ("x^2", "x^3"), 4)
     assert a == b  # identical echelon rows
+
+
+# ---------------------------------------------------------------------------
+# interning: equal presentations share their built state
+
+
+def test_equal_presentations_share_built_state():
+    a = algebra(("x", "y"), ("x^2 - y^3",), 4)
+    b = algebra(("x", "y"), ("x^2 - y^3",), 4)
+    assert a is not b and a == b
+    assert a.reduction is b.reduction
+    assert a.basis is b.basis and a.basis_index is b.basis_index
+    assert a._mul_table is b._mul_table and a._sig is b._sig
+
+
+def test_repeated_tensor_gives_equal_algebras():
+    t1 = tensor(CUSP, D2)
+    t2 = tensor(CUSP, D2)
+    assert t1 == t2 and hash(t1) == hash(t2)
+    assert repr(t1) == repr(t2)
+    assert t1.reduction is t2.reduction
+
+
+def test_presentations_of_one_ideal_keep_their_relations():
+    a = algebra(("x",), ("x^2",), 4)
+    b = algebra(("x",), ("x^2", "x^3"), 4)
+    c = algebra(("x",), ("2*x^2",), 4)
+    assert a == b == c
+    assert repr(a) == "WeilAlgebra([x], <x^2> + m^4)"
+    assert repr(b) == "WeilAlgebra([x], <x^2, x^3> + m^4)"
+    assert repr(c) == "WeilAlgebra([x], <2*x^2> + m^4)"
+    assert repr(algebra(("x",), ("x^2",), 4)) == repr(a)
+
+
+def test_failed_presentations_raise_every_time():
+    for _ in range(2):
+        with pytest.raises(ImproperIdeal):
+            algebra(("x",), ("x - 1",), 2)
+        with pytest.raises(ImproperIdeal):
+            WeilAlgebra(("x",), [parse_polynomial("x^2 + 1", ("x",))], 3)
+        with pytest.raises(ValueError):
+            WeilAlgebra(("x", "x"), [], 2)
+        with pytest.raises(ValueError):
+            WeilAlgebra(("x",), [], 0)
+        with pytest.raises(ValueError):
+            WeilAlgebra(("x",), [parse_polynomial("x*y", ("x", "y"))], 3)
+
+
+def test_relations_from_list_or_generator():
+    texts = ("x^2 - y^3",)
+    as_list = WeilAlgebra(("x", "y"), [parse_polynomial(t, ("x", "y")) for t in texts], 4)
+    as_gen = WeilAlgebra(("x", "y"), (parse_polynomial(t, ("x", "y")) for t in texts), 4)
+    for w in (as_list, as_gen):
+        assert w == CUSP and repr(w) == repr(CUSP)
+        assert w.relations == CUSP.relations
+        assert w.dimension == 7 and w.basis is CUSP.basis
+
+
+def test_intern_table_is_bounded():
+    for i in range(1, INTERN_CAPACITY + 10):
+        w = WeilAlgebra(("x",), [parse_polynomial(f"x^2 - {i}*x^3", ("x",))], 4)
+        assert w.dimension == 2
+    assert _built.cache_info().currsize <= INTERN_CAPACITY
+    assert algebra(("x", "y"), ("x^2 - y^3",), 4).dimension == 7
 
 
 def test_presets_all_build():

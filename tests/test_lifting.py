@@ -111,6 +111,11 @@ class TestTaylorCoefficients:
             for a, b in zip(exact, approx):
                 assert abs(float(a) - b) < 1e-15
 
+    @pytest.mark.parametrize("fn, at", [("exp", 1000.0), ("log", 1e200), ("log", 1e-200)])
+    def test_float_overflow_is_domain_error(self, fn, at):
+        with pytest.raises(DomainError, match="out of float range"):
+            taylor_coefficients(fn, at, 4, REAL)
+
     def test_float_log_series(self):
         coeffs = taylor_coefficients("log", 2.0, 4, REAL)
         assert coeffs[0] == pytest.approx(math.log(2.0))

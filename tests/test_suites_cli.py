@@ -373,6 +373,15 @@ class TestCliVerify:
         config = self.write_config(tmp_path, suites=["made-up"])
         assert main(["verify", "--config", str(config), "--out", str(tmp_path / "r.json")]) == 2
 
+    def test_float_overflow_exits_3(self, tmp_path, capsys):
+        # at seed 3 a real-mode lift in lifting-laws leaves the float range
+        config = REPO / "configs" / "default.json"
+        out = tmp_path / "report.json"
+        assert main(["verify", "--config", str(config), "--seed", "3", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: exp Taylor coefficients")
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+
     def test_failures_exit_1(self, tmp_path, monkeypatch):
         def failing(config):
             report = SuiteReport("ring-laws")
