@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, ParseError, ScalarModeError
 from .polynomials import Polynomial, constant, variable
@@ -83,6 +83,54 @@ class Call(Expr):
     arg: Expr
 
 
+# ---------------------------------------------------------------------------
+# the one walker
+
+
+# node type -> its children, left to right; None for a leaf
+_CHILDREN: Dict[type, Optional[Callable[[Expr], Tuple[Expr, ...]]]] = {
+    Const: None,
+    Var: None,
+    **{op: lambda e: (e.left, e.right) for op in (Add, Sub, Mul, Div)},
+    Neg: lambda e: (e.arg,),
+    Pow: lambda e: (e.base,),
+    Call: lambda e: (e.arg,),
+}
+# the arithmetic fragment: a primitive call is opaque, its argument unvisited
+_ARITHMETIC_CHILDREN = {**_CHILDREN, Call: None}
+
+
+def fold_expr(root: Expr, rules: Dict[type, Callable], children=_CHILDREN):
+    """Fold an expression DAG bottom-up; ``rules[type(node)](node,
+    *child_values)`` gives each node's value.  Nodes run in the post-order
+    of a recursive walk, except that a node met again in the same call
+    keeps its value, memoized on node identity (the dataclasses' hash and
+    equality recurse over the whole tree).  The stack is explicit."""
+    values: Dict[int, object] = {}
+    stack: list = [root]  # a bare node is still to visit; (node, children) is ready
+    while stack:
+        item = stack.pop()
+        if type(item) is tuple:
+            node, kids = item
+            rule = rules[type(node)]
+            if len(kids) == 2:
+                values[id(node)] = rule(node, values[id(kids[0])], values[id(kids[1])])
+            else:
+                values[id(node)] = rule(node, values[id(kids[0])])
+        elif id(item) not in values:
+            try:
+                kids_of = children[type(item)]
+            except KeyError:
+                raise TypeError(f"unknown expression node {item!r}") from None
+            if kids_of is None:
+                values[id(item)] = rules[type(item)](item)
+            else:
+                kids = kids_of(item)
+                stack.append((item, kids))
+                stack.extend(reversed(kids))
+    return values[id(root)]
+
+
 @dataclass(frozen=True)
 class SmoothMap:
     """arity inputs, one expression tree per output."""
@@ -111,53 +159,52 @@ def compose_maps(outer: SmoothMap, inner: SmoothMap) -> SmoothMap:
         raise ValueError(
             f"cannot compose: inner has {inner.coarity} outputs, outer takes {outer.arity}"
         )
+    rules = {**_REBUILD, Var: lambda e: inner.outputs[e.index]}
+    return SmoothMap(inner.arity, tuple(fold_expr(o, rules) for o in outer.outputs))
 
-    def subst(e: Expr) -> Expr:
-        if isinstance(e, Const):
-            return e
-        if isinstance(e, Var):
-            return inner.outputs[e.index]
-        if isinstance(e, Add):
-            return Add(subst(e.left), subst(e.right))
-        if isinstance(e, Sub):
-            return Sub(subst(e.left), subst(e.right))
-        if isinstance(e, Mul):
-            return Mul(subst(e.left), subst(e.right))
-        if isinstance(e, Div):
-            return Div(subst(e.left), subst(e.right))
-        if isinstance(e, Neg):
-            return Neg(subst(e.arg))
-        if isinstance(e, Pow):
-            return Pow(subst(e.base), e.exponent)
-        if isinstance(e, Call):
-            return Call(e.fn, subst(e.arg))
-        raise TypeError(f"unknown expression node {e!r}")
 
-    return SmoothMap(inner.arity, tuple(subst(o) for o in outer.outputs))
+_REBUILD: Dict[type, Callable] = {
+    Const: lambda e: e,
+    **{op: lambda e, *kids: type(e)(*kids) for op in (Add, Sub, Mul, Div, Neg)},
+    Pow: lambda e, b: Pow(b, e.exponent),
+    Call: lambda e, a: Call(e.fn, a),
+}
+
+_MAX_VAR: Dict[type, Callable] = {
+    **{op: lambda e, *kids: max(kids) for op in _CHILDREN},
+    Const: lambda e: -1,
+    Var: lambda e: e.index,
+}
 
 
 def max_var_index(e: Expr) -> int:
-    if isinstance(e, Var):
-        return e.index
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        return max(max_var_index(e.left), max_var_index(e.right))
-    if isinstance(e, Neg):
-        return max_var_index(e.arg)
-    if isinstance(e, Pow):
-        return max_var_index(e.base)
-    if isinstance(e, Call):
-        return max_var_index(e.arg)
-    return -1
+    return fold_expr(e, _MAX_VAR)
 
 
 # ---------------------------------------------------------------------------
 # parsing
 
 
+# Deepest nesting of parentheses, primitive calls and unary minus the
+# parser accepts.  Each parenthesis level costs it five Python frames, so
+# this stays well inside the interpreter's default recursion limit of 1000.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
+
+    def nested(self, parse: Callable[[], Expr]) -> Expr:
+        """Run one nested production, counting its depth."""
+        if self.depth == MAX_NESTING:
+            self.error(f"expression nested deeper than {MAX_NESTING} levels")
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
 
     def error(self, message: str):
         raise ParseError(message, self.pos)
@@ -232,7 +279,7 @@ class _Parser:
     def factor(self) -> Expr:
         if self.peek() == "-":
             self.pos += 1
-            return Neg(self.factor())
+            return Neg(self.nested(self.factor))
         return self.power()
 
     # power := atom ('^' '-'? INT)*
@@ -248,7 +295,7 @@ class _Parser:
         c = self.peek()
         if c == "(":
             self.pos += 1
-            node = self.expr()
+            node = self.nested(self.expr)
             if self.peek() == ",":
                 self.error("tuple syntax is only allowed at the top level")
             self.expect(")")
@@ -259,7 +306,7 @@ class _Parser:
             name = self.read_name()
             if name in PRIMITIVES:
                 self.expect("(")
-                arg = self.expr()
+                arg = self.nested(self.expr)
                 self.expect(")")
                 return Call(name, arg)
             if name.startswith("t") and name[1:].isdigit():
@@ -309,8 +356,6 @@ def parse_smooth_map(text: str, arity: int | None = None) -> SmoothMap:
 # ---------------------------------------------------------------------------
 # scalar evaluation
 
-Number = Union[Fraction, float]
-
 _FLOAT_FNS = {
     "sin": math.sin,
     "cos": math.cos,
@@ -320,66 +365,50 @@ _FLOAT_FNS = {
 }
 
 
+def _div(e: Div, num, den):
+    if den == 0:
+        raise DomainError("division by zero")
+    return num / den
+
+
+def _pow(e: Pow, base):
+    if e.exponent < 0 and base == 0:
+        raise DomainError("zero base with negative exponent")
+    return base ** e.exponent
+
+
+# scalar arithmetic, shared by the float and the exact evaluator
+_SCALAR: Dict[type, Callable] = {
+    Add: lambda e, l, r: l + r,
+    Sub: lambda e, l, r: l - r,
+    Mul: lambda e, l, r: l * r,
+    Div: _div,
+    Neg: lambda e, a: -a,
+    Pow: _pow,
+}
+
+
+def _float_call(e: Call, v: float) -> float:
+    if e.fn == "log" and v <= 0.0:
+        raise DomainError("log of a non-positive value")
+    if e.fn == "sqrt" and v < 0.0:
+        raise DomainError("sqrt of a negative value")
+    return _FLOAT_FNS[e.fn](v)
+
+
+def _exact_call(e: Call) -> Fraction:
+    raise ScalarModeError(f"{e.fn} has no exact rational evaluation here")
+
+
 def eval_expr_float(e: Expr, args: Sequence[float]) -> float:
-    if isinstance(e, Const):
-        return float(e.value)
-    if isinstance(e, Var):
-        return float(args[e.index])
-    if isinstance(e, Add):
-        return eval_expr_float(e.left, args) + eval_expr_float(e.right, args)
-    if isinstance(e, Sub):
-        return eval_expr_float(e.left, args) - eval_expr_float(e.right, args)
-    if isinstance(e, Mul):
-        return eval_expr_float(e.left, args) * eval_expr_float(e.right, args)
-    if isinstance(e, Div):
-        den = eval_expr_float(e.right, args)
-        if den == 0.0:
-            raise DomainError("division by zero")
-        return eval_expr_float(e.left, args) / den
-    if isinstance(e, Neg):
-        return -eval_expr_float(e.arg, args)
-    if isinstance(e, Pow):
-        base = eval_expr_float(e.base, args)
-        if e.exponent < 0 and base == 0.0:
-            raise DomainError("zero base with negative exponent")
-        return base ** e.exponent
-    if isinstance(e, Call):
-        v = eval_expr_float(e.arg, args)
-        if e.fn == "log" and v <= 0.0:
-            raise DomainError("log of a non-positive value")
-        if e.fn == "sqrt" and v < 0.0:
-            raise DomainError("sqrt of a negative value")
-        return _FLOAT_FNS[e.fn](v)
-    raise TypeError(f"unknown expression node {e!r}")
+    rules = {Const: lambda e: float(e.value), Var: lambda e: float(args[e.index])}
+    return fold_expr(e, {**_SCALAR, **rules, Call: _float_call})
 
 
 def eval_expr_exact(e: Expr, args: Sequence[Fraction]) -> Fraction:
     """Exact evaluation of the arithmetic fragment; primitives raise."""
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        return Fraction(args[e.index])
-    if isinstance(e, Add):
-        return eval_expr_exact(e.left, args) + eval_expr_exact(e.right, args)
-    if isinstance(e, Sub):
-        return eval_expr_exact(e.left, args) - eval_expr_exact(e.right, args)
-    if isinstance(e, Mul):
-        return eval_expr_exact(e.left, args) * eval_expr_exact(e.right, args)
-    if isinstance(e, Div):
-        den = eval_expr_exact(e.right, args)
-        if den == 0:
-            raise DomainError("division by zero")
-        return eval_expr_exact(e.left, args) / den
-    if isinstance(e, Neg):
-        return -eval_expr_exact(e.arg, args)
-    if isinstance(e, Pow):
-        base = eval_expr_exact(e.base, args)
-        if e.exponent < 0 and base == 0:
-            raise DomainError("zero base with negative exponent")
-        return base ** e.exponent
-    if isinstance(e, Call):
-        raise ScalarModeError(f"{e.fn} has no exact rational evaluation here")
-    raise TypeError(f"unknown expression node {e!r}")
+    rules = {Const: lambda e: e.value, Var: lambda e: Fraction(args[e.index])}
+    return fold_expr(e, {**_SCALAR, **rules, Call: _exact_call}, _ARITHMETIC_CHILDREN)
 
 
 def eval_map_float(f: SmoothMap, args: Sequence[float]) -> Tuple[float, ...]:
@@ -392,54 +421,58 @@ def eval_map_float(f: SmoothMap, args: Sequence[float]) -> Tuple[float, ...]:
 # polynomial extraction
 
 
+def _poly_op(op: Callable) -> Callable:
+    return lambda e, l, r: op(l, r) if l is not None and r is not None else None
+
+
+def _poly_div(e: Div, l: Optional[Polynomial], r: Optional[Polynomial]):
+    if l is None or r is None or r.degree() > 0:
+        return None
+    c = r.constant_term()
+    if c == 0:
+        raise DomainError("division by zero")
+    return l.scale(Fraction(1) / c)
+
+
+def _poly_pow(e: Pow, base: Optional[Polynomial]):
+    if base is None:
+        return None
+    if e.exponent >= 0:
+        result = constant(base.nvars, 1)
+        for _ in range(e.exponent):
+            result = result.mul(base)
+        return result
+    if base.degree() > 0:
+        return None
+    c = base.constant_term()
+    if c == 0:
+        raise DomainError("zero base with negative exponent")
+    return constant(base.nvars, Fraction(1) / c ** (-e.exponent))
+
+
+_POLYNOMIAL: Dict[type, Callable] = {
+    Add: _poly_op(Polynomial.add),
+    Sub: _poly_op(Polynomial.sub),
+    Mul: _poly_op(Polynomial.mul),
+    Div: _poly_div,
+    Neg: lambda e, a: a.neg() if a is not None else None,
+    Pow: _poly_pow,
+    Call: lambda e: None,
+}
+
+
 def expr_polynomial(e: Expr, nvars: int) -> Optional[Polynomial]:
     """The expression as an exact Polynomial, or None when it's not
     polynomial (primitives, non-constant denominators, negative powers
     of non-constants)."""
-    if isinstance(e, Const):
-        return constant(nvars, e.value)
-    if isinstance(e, Var):
+
+    def var(e: Var) -> Polynomial:
         if e.index >= nvars:
             raise ValueError("variable index out of range")
         return variable(nvars, e.index)
-    if isinstance(e, Add):
-        l, r = expr_polynomial(e.left, nvars), expr_polynomial(e.right, nvars)
-        return l.add(r) if l is not None and r is not None else None
-    if isinstance(e, Sub):
-        l, r = expr_polynomial(e.left, nvars), expr_polynomial(e.right, nvars)
-        return l.sub(r) if l is not None and r is not None else None
-    if isinstance(e, Mul):
-        l, r = expr_polynomial(e.left, nvars), expr_polynomial(e.right, nvars)
-        return l.mul(r) if l is not None and r is not None else None
-    if isinstance(e, Div):
-        l, r = expr_polynomial(e.left, nvars), expr_polynomial(e.right, nvars)
-        if l is None or r is None or r.degree() > 0:
-            return None
-        c = r.constant_term()
-        if c == 0:
-            raise DomainError("division by zero")
-        return l.scale(Fraction(1) / c)
-    if isinstance(e, Neg):
-        a = expr_polynomial(e.arg, nvars)
-        return a.neg() if a is not None else None
-    if isinstance(e, Pow):
-        base = expr_polynomial(e.base, nvars)
-        if base is None:
-            return None
-        if e.exponent >= 0:
-            result = constant(nvars, 1)
-            for _ in range(e.exponent):
-                result = result.mul(base)
-            return result
-        if base.degree() > 0:
-            return None
-        c = base.constant_term()
-        if c == 0:
-            raise DomainError("zero base with negative exponent")
-        return constant(nvars, Fraction(1) / c ** (-e.exponent))
-    if isinstance(e, Call):
-        return None
-    raise TypeError(f"unknown expression node {e!r}")
+
+    rules = {**_POLYNOMIAL, Const: lambda e: constant(nvars, e.value), Var: var}
+    return fold_expr(e, rules, _ARITHMETIC_CHILDREN)
 
 
 def map_polynomials(f: SmoothMap) -> Optional[List[Polynomial]]:
@@ -470,38 +503,41 @@ def polynomial_to_expr(p: Polynomial) -> Expr:
     return node if node is not None else Const(Fraction(0))
 
 
-def format_expr(e: Expr) -> str:
-    def fmt(e: Expr, parent_prec: int) -> str:
-        if isinstance(e, Const):
-            s = str(e.value)
-            needs_parens = (e.value < 0 and parent_prec > 0) or (
-                e.value.denominator != 1 and parent_prec > 1
-            )
-            return f"({s})" if needs_parens else s
-        if isinstance(e, Var):
-            return f"t{e.index}"
-        if isinstance(e, Add):
-            s = f"{fmt(e.left, 1)} + {fmt(e.right, 1)}"
-        elif isinstance(e, Sub):
-            s = f"{fmt(e.left, 1)} - {fmt(e.right, 2)}"
-        elif isinstance(e, Mul):
-            s = f"{fmt(e.left, 2)}*{fmt(e.right, 2)}"
-            return s if parent_prec <= 2 else f"({s})"
-        elif isinstance(e, Div):
-            s = f"{fmt(e.left, 2)}/{fmt(e.right, 3)}"
-            return s if parent_prec <= 2 else f"({s})"
-        elif isinstance(e, Neg):
-            s = f"-{fmt(e.arg, 3)}"
-            return s if parent_prec <= 1 else f"({s})"
-        elif isinstance(e, Pow):
-            return f"{fmt(e.base, 4)}^{e.exponent}"
-        elif isinstance(e, Call):
-            return f"{e.fn}({fmt(e.arg, 0)})"
-        else:
-            raise TypeError(f"unknown expression node {e!r}")
-        return s if parent_prec <= 1 else f"({s})"
+# A formatted node is (pieces, loosest): its text as nested tuples of
+# strings, joined once at the end so that a deep tree formats in linear
+# time, and the loosest precedence of an operand slot it fills unbracketed.
+_ATOMIC = 4
 
-    return fmt(e, 0)
+
+def _slot(formatted, prec: int):
+    pieces, loosest = formatted
+    return ("(", pieces, ")") if prec > loosest else pieces
+
+
+_FORMAT: Dict[type, Callable] = {
+    Const: lambda e: (
+        str(e.value), 0 if e.value < 0 else 1 if e.value.denominator != 1 else _ATOMIC
+    ),
+    Var: lambda e: (f"t{e.index}", _ATOMIC),
+    Add: lambda e, l, r: ((_slot(l, 1), " + ", _slot(r, 1)), 1),
+    Sub: lambda e, l, r: ((_slot(l, 1), " - ", _slot(r, 2)), 1),
+    Mul: lambda e, l, r: ((_slot(l, 2), "*", _slot(r, 2)), 2),
+    Div: lambda e, l, r: ((_slot(l, 2), "/", _slot(r, 3)), 2),
+    Neg: lambda e, a: (("-", _slot(a, 3)), 1),
+    Pow: lambda e, b: ((_slot(b, 4), f"^{e.exponent}"), _ATOMIC),
+    Call: lambda e, a: ((e.fn, "(", a[0], ")"), _ATOMIC),
+}
+
+
+def format_expr(e: Expr) -> str:
+    out, stack = [], [fold_expr(e, _FORMAT)[0]]
+    while stack:
+        pieces = stack.pop()
+        if isinstance(pieces, str):
+            out.append(pieces)
+        else:
+            stack.extend(reversed(pieces))
+    return "".join(out)
 
 
 def format_map(f: SmoothMap) -> str:

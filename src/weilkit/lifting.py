@@ -52,8 +52,10 @@ from .expressions import (
     SmoothMap,
     Sub,
     Var,
+    fold_expr,
     format_map,
     is_polynomial_map,
+    polynomial_to_expr,
 )
 from .polynomials import Monomial, unit_monomial
 from .reports import SuiteReport, scalar_str
@@ -66,9 +68,11 @@ from .samplers import random_element, random_point
 def _rational_sqrt(a: Fraction) -> Optional[Fraction]:
     p, q = a.numerator, a.denominator
     rp, rq = isqrt(p), isqrt(q)
-    if rp * rp == p and rq * rq == q:
-        return Fraction(rp, rq)
-    return None
+    return Fraction(rp, rq) if rp * rp == p and rq * rq == q else None
+
+
+# derivatives of orders 0-3 at 0; they repeat with period 4
+_DERIVATIVES_AT_ZERO = {"exp": (1, 1, 1, 1), "sin": (0, 1, 0, -1), "cos": (1, 0, -1, 0)}
 
 
 def taylor_coefficients(fn: str, a0: Scalar, count: int, mode: str) -> List[Scalar]:
@@ -80,38 +84,20 @@ def taylor_coefficients(fn: str, a0: Scalar, count: int, mode: str) -> List[Scal
     ScalarModeError so the caller can decide to re-run in real mode.
     Domain violations (log at <= 0, sqrt at <= 0) are DomainError in
     both modes — sqrt is excluded at 0 because it is not smooth there.
-    In real mode, a point whose coefficients overflow a float is a
-    DomainError too.
+    In real mode, a point that is not a finite float, or whose
+    coefficients are not all finite floats, is a DomainError too.
     """
-    if fn in ("log", "sqrt"):
-        if a0 < 0 or (a0 == 0):
-            raise DomainError(f"{fn} undefined or not smooth at {scalar_str(a0)}")
+    if fn in ("log", "sqrt") and a0 <= 0:
+        raise DomainError(f"{fn} undefined or not smooth at {scalar_str(a0)}")
     if mode == RATIONAL:
         a = Fraction(a0)
-        if fn == "exp":
+        if fn in _DERIVATIVES_AT_ZERO:
             if a != 0:
                 raise ScalarModeError(
-                    "exp has irrational Taylor coefficients at nonzero rational points"
+                    f"{fn} has irrational Taylor coefficients at nonzero rational points"
                 )
-            return [Fraction(1, factorial(j)) for j in range(count)]
-        if fn == "sin":
-            if a != 0:
-                raise ScalarModeError(
-                    "sin has irrational Taylor coefficients at nonzero rational points"
-                )
-            return [
-                Fraction((-1) ** ((j - 1) // 2), factorial(j)) if j % 2 == 1 else Fraction(0)
-                for j in range(count)
-            ]
-        if fn == "cos":
-            if a != 0:
-                raise ScalarModeError(
-                    "cos has irrational Taylor coefficients at nonzero rational points"
-                )
-            return [
-                Fraction((-1) ** (j // 2), factorial(j)) if j % 2 == 0 else Fraction(0)
-                for j in range(count)
-            ]
+            cycle = _DERIVATIVES_AT_ZERO[fn]
+            return [Fraction(cycle[j % 4], factorial(j)) for j in range(count)]
         if fn == "log":
             if a != 1:
                 raise ScalarModeError(
@@ -133,11 +119,17 @@ def taylor_coefficients(fn: str, a0: Scalar, count: int, mode: str) -> List[Scal
         raise ValueError(f"unknown primitive {fn!r}")
 
     try:
-        return _real_coefficients(fn, float(a0), count)
+        a = float(a0)
+        if not math.isfinite(a):
+            raise OverflowError(f"{a} is not a finite point")
+        coeffs = _real_coefficients(fn, a, count)
+        if not all(map(math.isfinite, coeffs)):
+            raise OverflowError("a coefficient is not finite")
     except ArithmeticError as exc:
         raise DomainError(
             f"{fn} Taylor coefficients at {scalar_str(a0)} are out of float range"
         ) from exc
+    return coeffs
 
 
 def _real_coefficients(fn: str, a: float, count: int) -> List[float]:
@@ -180,41 +172,40 @@ def weil_context(algebra: WeilAlgebra, mode: str = RATIONAL) -> LiftContext:
     return LiftContext(lambda c: algebra.const(c, mode), algebra.order, mode)
 
 
+# ring operations, the same for every element type the evaluator runs on
+_RING: Dict[type, Callable] = {
+    Add: lambda e, a, b: a.add(b),
+    Sub: lambda e, a, b: a.sub(b),
+    Mul: lambda e, a, b: a.mul(b),
+    Div: lambda e, a, b: a.mul(b.inverse()),
+    Neg: lambda e, a: a.neg(),
+}
+
+
 def lift_expr(e: Expr, args: Sequence, ctx: LiftContext):
-    if isinstance(e, Const):
-        return ctx.const(e.value)
-    if isinstance(e, Var):
-        return args[e.index]
-    if isinstance(e, Add):
-        return lift_expr(e.left, args, ctx).add(lift_expr(e.right, args, ctx))
-    if isinstance(e, Sub):
-        return lift_expr(e.left, args, ctx).sub(lift_expr(e.right, args, ctx))
-    if isinstance(e, Mul):
-        return lift_expr(e.left, args, ctx).mul(lift_expr(e.right, args, ctx))
-    if isinstance(e, Div):
-        return lift_expr(e.left, args, ctx).mul(lift_expr(e.right, args, ctx).inverse())
-    if isinstance(e, Neg):
-        return lift_expr(e.arg, args, ctx).neg()
-    if isinstance(e, Pow):
-        base = lift_expr(e.base, args, ctx)
-        exponent = e.exponent
-        if exponent < 0:
+    """The lift of one expression at ``args``; a node that the
+    expression shares by reference is lifted once."""
+    const = ctx.const
+
+    def power(e: Pow, base):
+        if e.exponent < 0:
             base = base.inverse()
-            exponent = -exponent
-        acc = ctx.const(Fraction(1))
-        for _ in range(exponent):
+        acc = const(Fraction(1))
+        for _ in range(abs(e.exponent)):
             acc = acc.mul(base)
         return acc
-    if isinstance(e, Call):
-        value = lift_expr(e.arg, args, ctx)
+
+    def call(e: Call, value):
         a0 = value.augmentation()
         coeffs = taylor_coefficients(e.fn, a0, ctx.order, ctx.mode)
-        nil = value.sub(ctx.const(a0))
-        acc = ctx.const(coeffs[-1])
+        nil = value.sub(const(a0))
+        acc = const(coeffs[-1])
         for c in reversed(coeffs[:-1]):
-            acc = acc.mul(nil).add(ctx.const(c))
+            acc = acc.mul(nil).add(const(c))
         return acc
-    raise TypeError(f"unknown expression node {e!r}")
+
+    leaves = {Const: lambda e: const(e.value), Var: lambda e: args[e.index]}
+    return fold_expr(e, {**_RING, **leaves, Pow: power, Call: call})
 
 
 def taylor_lift(
@@ -311,11 +302,7 @@ def equiv_mod(f: SmoothMap, g: SmoothMap, algebra: WeilAlgebra, mode: str = RATI
     cf = class_of(f, algebra, mode).data
     cg = class_of(g, algebra, mode).data
     for i, (a, b) in enumerate(zip(cf, cg)):
-        if mode == RATIONAL:
-            same = a == b
-        else:
-            same = elements_close(a, b)
-        if not same:
+        if not (a == b if mode == RATIONAL else elements_close(a, b)):
             return EquivalenceVerdict(False, i, a.sub(b))
     return EquivalenceVerdict(True)
 
@@ -461,12 +448,11 @@ def check_naturality(
         mapped_then_lifted = taylor_lift(
             phi, psi.target, tuple(apply_morphism(psi, v) for v in point)
         )
-        mismatch = None
-        for j, (a, b) in enumerate(zip(lifted_then_mapped, mapped_then_lifted)):
-            same = a == b if exact else elements_close(a, b)
-            if not same:
-                mismatch = j
-                break
+        same = [
+            a == b if exact else elements_close(a, b)
+            for a, b in zip(lifted_then_mapped, mapped_then_lifted)
+        ]
+        mismatch = same.index(False) if False in same else None
         report.record_case(
             mismatch is None,
             {
@@ -574,14 +560,6 @@ class NestedElement:
 
     def sub(self, other: "NestedElement") -> "NestedElement":
         return self.add(other.neg())
-
-    def scale(self, factor: Scalar) -> "NestedElement":
-        return NestedElement(
-            self.outer,
-            self.scalars,
-            {m: c.scale(factor) for m, c in self.coords.items()},
-            self.mode,
-        )
 
     def mul(self, other: "NestedElement") -> "NestedElement":
         self._match(other)
@@ -807,8 +785,6 @@ def check_product_preservation(
     classes, and equivalence into the product is exactly componentwise
     equivalence — probed with planted perturbations, ideal members (must
     stay equivalent) and quotient-basis monomials (must not)."""
-    from .expressions import polynomial_to_expr  # local to avoid import noise
-
     rng = rng or random.Random(0)
     report = SuiteReport("product-preservation")
     p, q = x_space.dim, y_space.dim
@@ -832,21 +808,19 @@ def check_product_preservation(
         component = rng.randrange(len(outputs))
         plant_equivalent = rng.random() < 0.5 or not nontrivial_basis
         if plant_equivalent:
-            generators = algebra.ideal_generators()
-            g_poly = rng.choice(generators)
+            g_poly = rng.choice(algebra.ideal_generators())
             multiplier = random_element(rng, algebra, max_terms=2)
             perturb_expr = polynomial_to_expr(g_poly)
             if multiplier.coords:
                 perturb_expr = Mul(
                     polynomial_to_expr(multiplier.as_polynomial()), perturb_expr
                 )
-            outputs[component] = Add(outputs[component], perturb_expr)
         else:
             mono = rng.choice(nontrivial_basis)
             perturb_expr = polynomial_to_expr(
                 algebra.basis_element(mono).as_polynomial()
             )
-            outputs[component] = Add(outputs[component], perturb_expr)
+        outputs[component] = Add(outputs[component], perturb_expr)
         g = SmoothMap(f.arity, tuple(outputs))
 
         joint = equiv_mod(f, g, algebra)

@@ -473,10 +473,6 @@ class ReductionBasis:
         self.order = order
         self.rows = sorted(rows, key=lambda r: r[0].key())
 
-    @property
-    def pivots(self) -> List[Monomial]:
-        return [p for p, _ in self.rows]
-
     def pivot_set(self) -> frozenset:
         return frozenset(p for p, _ in self.rows)
 
@@ -497,9 +493,6 @@ class ReductionBasis:
                 else:
                     acc.pop(mono, None)
         return Polynomial(self.nvars, acc)
-
-    def contains(self, poly: Polynomial) -> bool:
-        return self.normal_form(poly).is_zero()
 
     def quotient_basis(self) -> List[Monomial]:
         """Non-pivot monomials of degree < order, graded-lex ascending."""
@@ -577,7 +570,3 @@ def build_reduction_basis(
     if unit_monomial(nvars) in basis.pivot_set():
         raise ImproperIdeal("the constant monomial is a pivot; quotient would be zero")
     return basis
-
-
-def normal_form(poly: Polynomial, basis: ReductionBasis) -> Polynomial:
-    return basis.normal_form(poly)

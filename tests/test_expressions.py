@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from weilkit.algebras import preset_algebra
 from weilkit.errors import DomainError, ParseError, ScalarModeError
 from weilkit.expressions import (
+    MAX_NESTING,
     Add,
     Call,
     Const,
@@ -21,11 +23,13 @@ from weilkit.expressions import (
     format_map,
     is_polynomial_map,
     map_polynomials,
+    max_var_index,
     pair_maps,
     parse_smooth_map,
     polynomial_to_expr,
 )
-from weilkit.polynomials import parse_polynomial
+from weilkit.lifting import taylor_lift_at
+from weilkit.polynomials import parse_polynomial, variable
 
 
 def parse1(text, arity=None):
@@ -93,6 +97,23 @@ class TestParsing:
     def test_malformed(self, bad):
         with pytest.raises(ParseError):
             parse_smooth_map(bad)
+
+    @pytest.mark.parametrize(
+        "open_, close, per_level",
+        [("(", ")", 1), ("sin(", ")", 1), ("-", "", 1), ("-(", ")", 2)],
+    )
+    def test_nesting_bound(self, open_, close, per_level):
+        levels = MAX_NESTING // per_level
+        parse_smooth_map(open_ * levels + "t" + close * levels)
+        with pytest.raises(ParseError, match="nested deeper than"):
+            parse_smooth_map(open_ * (levels + 1) + "t" + close * (levels + 1))
+
+    @pytest.mark.parametrize(
+        "text", ["(" * 1200 + "t" + ")" * 1200, "-" * 2000 + "t", "cos(" * 700 + "t" + ")" * 700]
+    )
+    def test_deep_nesting_is_a_parse_error(self, text):
+        with pytest.raises(ParseError, match="nested deeper than"):
+            parse_smooth_map(text)
 
     def test_error_position(self):
         with pytest.raises(ParseError) as exc:
@@ -203,3 +224,32 @@ class TestFormatting:
         text = format_expr(e)
         f = parse_smooth_map(text, arity=2)
         assert expr_polynomial(f.outputs[0], 2) == p
+
+
+class TestDeepExpressions:
+    """A left-deep sum of 50,000 terms: about 10^5 nodes, far deeper than
+    the interpreter's recursion limit."""
+
+    TERMS = 50_000
+
+    @pytest.fixture(scope="class")
+    def deep(self):
+        return parse_smooth_map(" + ".join(["t"] * self.TERMS))
+
+    def test_walkers(self, deep):
+        (e,) = deep.outputs
+        n = Fraction(self.TERMS)
+        assert deep.arity == 1 and max_var_index(e) == 0
+        assert expr_polynomial(e, 1) == variable(1, 0).scale(n)
+        assert eval_expr_exact(e, [Fraction(3)]) == 3 * n
+        assert eval_expr_float(e, [0.5]) == self.TERMS / 2
+
+    def test_lift(self, deep):
+        dual = preset_algebra("dual")
+        (v,) = taylor_lift_at(deep, dual, [Fraction(2)])
+        assert v == dual.element({dual.basis[0]: 2 * self.TERMS, dual.basis[1]: self.TERMS})
+
+    def test_format_round_trip(self, deep):
+        text = format_map(deep)
+        assert text == " + ".join(["t0"] * self.TERMS)
+        assert format_map(parse_smooth_map(text)) == text

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,8 +20,16 @@ from weilkit.algebras import (
     tensor,
     zero_morphism,
 )
+from weilkit.cli import main
 from weilkit.errors import AlgebraMismatch, DomainError, ScalarModeError
-from weilkit.expressions import compose_maps, parse_smooth_map
+from weilkit.expressions import (
+    Expr,
+    SmoothMap,
+    compose_maps,
+    map_polynomials,
+    parse_smooth_map,
+    polynomial_to_expr,
+)
 from weilkit.lifting import (
     AssociativityIso,
     Euclidean,
@@ -46,7 +56,7 @@ from weilkit.lifting import (
     taylor_lift_at,
 )
 from weilkit.polynomials import Monomial, parse_polynomial
-from weilkit.samplers import random_element, random_poly_map
+from weilkit.samplers import random_element, random_poly_map, random_smooth_map
 
 DUAL = preset_algebra("dual")
 JET2 = preset_algebra("jet2")
@@ -115,6 +125,17 @@ class TestTaylorCoefficients:
     def test_float_overflow_is_domain_error(self, fn, at):
         with pytest.raises(DomainError, match="out of float range"):
             taylor_coefficients(fn, at, 4, REAL)
+
+    @pytest.mark.parametrize("text", ["sin(t*t)", "log(t*t)"])
+    def test_non_finite_float_point_is_domain_error(self, text, capsys):
+        # t*t overflows to inf in float multiplication at 10^170
+        huge = "1" + "0" * 170
+        with pytest.raises(DomainError, match="out of float range"):
+            lift_with_fallback(parse_smooth_map(text), DUAL, [F(int(huge))])
+        assert main(["lift", "--algebra", "dual", "--expr", text, "--at", huge]) == 3
+        out = capsys.readouterr()
+        assert "f0" not in out.out
+        assert len(out.err.splitlines()) == 1
 
     def test_float_log_series(self):
         coeffs = taylor_coefficients("log", 2.0, 4, REAL)
@@ -585,3 +606,83 @@ class TestProductPreservation:
             )
             assert report.cases == 41
             assert report.failures == 0
+
+
+def iterate(link: SmoothMap, depth: int) -> SmoothMap:
+    """link composed with itself depth times; each level shares the
+    previous one by reference wherever link uses its input."""
+    f = link
+    for _ in range(depth - 1):
+        f = compose_maps(link, f)
+    return f
+
+
+def unshared(e: Expr) -> Expr:
+    """A copy of e with a fresh node for every occurrence."""
+    return dataclasses.replace(
+        e,
+        **{
+            field.name: unshared(getattr(e, field.name))
+            for field in dataclasses.fields(e)
+            if isinstance(getattr(e, field.name), Expr)
+        },
+    )
+
+
+def distinct_nodes(e: Expr) -> int:
+    seen, stack = set(), [e]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(
+                getattr(node, field.name)
+                for field in dataclasses.fields(node)
+                if isinstance(getattr(node, field.name), Expr)
+            )
+    return len(seen)
+
+
+class TestSharedSubexpressions:
+    LINK = parse_smooth_map("t*t + t")
+    JET4 = jet_algebra(4)
+
+    def test_deep_composition_lifts_in_linear_time(self):
+        f = iterate(self.LINK, 25)
+        start = time.perf_counter()
+        (v,) = taylor_lift_at(f, self.JET4, [F(0)])
+        assert time.perf_counter() - start < 0.25
+        # the 2-jet of t -> t + t^2 iterated n times is t + n t^2 + ...
+        assert frac_coeffs(v, (0,), (1,), (2,)) == [F(0), F(1), F(25)]
+
+    def test_shared_lift_equals_expanded_tree_lift(self):
+        f = iterate(self.LINK, 6)
+        (poly,) = map_polynomials(f)
+        expanded = SmoothMap(1, (polynomial_to_expr(poly),))
+        assert distinct_nodes(f.outputs[0]) < distinct_nodes(expanded.outputs[0])
+        for base in (F(0), F(1, 3), F(-2)):
+            assert taylor_lift_at(f, self.JET4, [base]) == taylor_lift_at(
+                expanded, self.JET4, [base]
+            )
+
+    @pytest.mark.parametrize("mode", [RATIONAL, REAL])
+    def test_shared_dag_lifts_like_its_unshared_copy(self, mode):
+        sample = random_poly_map if mode == RATIONAL else random_smooth_map
+        rng = random.Random(31)
+        lifted = 0
+        for _ in range(12):
+            f = sample(rng, 1, 2, max_degree=2)
+            for arity, coarity in ((2, 2), (2, 1)):
+                f = compose_maps(sample(rng, arity, coarity, max_degree=2), f)
+            copy = SmoothMap(1, tuple(unshared(o) for o in f.outputs))
+            point = (random_element(rng, JET3, mode=mode, max_terms=3),)
+            try:
+                shared = taylor_lift(f, JET3, point)
+            except DomainError:
+                with pytest.raises(DomainError):
+                    taylor_lift(copy, JET3, point)
+                continue
+            assert taylor_lift(copy, JET3, point) == shared
+            lifted += distinct_nodes(f.outputs[0]) < distinct_nodes(copy.outputs[0])
+        # most draws share nodes and lift without leaving the domain
+        assert lifted >= 8

@@ -287,6 +287,16 @@ class TestCliLift:
     def test_domain_error_exits_3(self):
         assert main(["lift", "--algebra", "dual", "--expr", "log(t)", "--at", "0"]) == 3
 
+    @pytest.mark.parametrize(
+        "expr_arg",
+        ["--expr=" + "(" * 1200 + "t" + ")" * 1200, "--expr=" + "-" * 2000 + "t"],
+    )
+    def test_deep_nesting_exits_2(self, expr_arg, capsys):
+        assert main(["lift", "--algebra", "dual", expr_arg, "--at", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: expression nested deeper than")
+        assert len(err.splitlines()) == 1
+
 
 class TestCliDerive:
     def test_exponential_table(self, capsys):
