@@ -43,9 +43,11 @@ from .polynomials import (
     Polynomial,
     build_reduction_basis,
     embed_poly,
+    format_terms,
     from_monomial,
     monomials_of_degree,
     parse_polynomial,
+    times_power,
     unit_monomial,
     var_monomial,
 )
@@ -295,27 +297,10 @@ class WeilElement:
         return f"<{self.format()} in {self.algebra!r}>"
 
     def format(self) -> str:
-        if not self.coords:
-            return "0"
-        names = self.algebra.names
-        chunks: List[str] = []
-        for mono, c in self.coords.items():
-            mono_s = mono.format(names)
-            if mono_s == "1":
-                body = str(c)
-            elif c == 1:
-                body = mono_s
-            elif c == -1:
-                body = f"-{mono_s}"
-            else:
-                body = f"{c}*{mono_s}"
-            if not chunks:
-                chunks.append(body)
-            elif body.startswith("-"):
-                chunks.append(f"- {body[1:]}")
-            else:
-                chunks.append(f"+ {body}")
-        return " ".join(chunks)
+        return format_terms(self.coords.items(), self.algebra.names)
+
+    def is_zero(self) -> bool:
+        return not self.coords
 
     # -- linear structure ----------------------------------------------------
     def add(self, other: "WeilElement") -> "WeilElement":
@@ -372,12 +357,8 @@ class WeilElement:
     __mul__ = mul
 
     def pow_int(self, exponent: int) -> "WeilElement":
-        if exponent < 0:
-            return self.inverse().pow_int(-exponent)
-        result = self.algebra.one(self.mode)
-        for _ in range(exponent):
-            result = result.mul(self)
-        return result
+        base = self if exponent >= 0 else self.inverse()
+        return times_power(self.algebra.one(self.mode), base, abs(exponent))
 
     def augmentation(self) -> Scalar:
         return self.coords.get(unit_monomial(self.algebra.nvars), self._zero_scalar())
@@ -414,6 +395,82 @@ class WeilElement:
         if self.mode != RATIONAL:
             raise ScalarModeError("no exact representative for a float element")
         return Polynomial(self.algebra.nvars, dict(self.coords))
+
+
+class RingCoords:
+    """Sparse coordinates on a basis with coefficients in a second ring:
+    ``terms`` maps basis keys to nonzero coefficients, each of which has
+    add, neg, scale, mul and is_zero.  The ring operations are written
+    once here.  A subclass supplies ``_shape()``, the data operands must
+    share, which ``_new`` passes to the constructor ahead of the terms;
+    ``_key_product(k1, k2)``, the product of two basis keys as (key,
+    rational factor) pairs; and an ``__init__`` that validates the terms,
+    drops zero coefficients and sorts the keys."""
+
+    __slots__ = ("terms",)
+    # carrier polynomials and curried values are exact; a subclass that
+    # carries either mode stores its own
+    mode = RATIONAL
+
+    def _shape(self) -> tuple:
+        raise NotImplementedError
+
+    def _key_product(self, k1, k2):
+        raise NotImplementedError
+
+    def _new(self, terms: dict) -> "RingCoords":
+        return type(self)(*self._shape(), terms)
+
+    def _match(self, other: "RingCoords") -> None:
+        if type(other) is not type(self) or self._shape() != other._shape():
+            raise AlgebraMismatch(f"{type(self).__name__} operands of different shapes")
+        if self.mode != other.mode:
+            raise ScalarModeError(f"mixed scalar modes {self.mode}/{other.mode}")
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            type(other) is type(self)
+            and self.mode == other.mode
+            and self._shape() == other._shape()
+            and self.terms == other.terms
+        )
+
+    def __hash__(self) -> int:
+        return hash((self._shape(), self.mode, tuple(self.terms.items())))
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def add(self, other: "RingCoords") -> "RingCoords":
+        self._match(other)
+        acc = dict(self.terms)
+        for key, c in other.terms.items():
+            cur = acc.get(key)
+            acc[key] = c if cur is None else cur.add(c)
+        return self._new(acc)
+
+    def neg(self) -> "RingCoords":
+        return self._new({key: c.neg() for key, c in self.terms.items()})
+
+    def sub(self, other: "RingCoords") -> "RingCoords":
+        return self.add(other.neg())
+
+    def scale(self, factor: Scalar) -> "RingCoords":
+        return self._new({key: c.scale(factor) for key, c in self.terms.items()})
+
+    def mul(self, other: "RingCoords") -> "RingCoords":
+        self._match(other)
+        acc: dict = {}
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                prod = c1.mul(c2)
+                if prod.is_zero():
+                    continue
+                for key, f in self._key_product(k1, k2):
+                    term = prod if f == 1 else prod.scale(f)
+                    cur = acc.get(key)
+                    acc[key] = term if cur is None else cur.add(term)
+        return self._new(acc)
 
 
 def scalars_close(a: Scalar, b: Scalar, rel: float = 1e-9, abs_tol: float = 1e-12) -> bool:

@@ -85,9 +85,9 @@ def cmd_lift(args: argparse.Namespace) -> int:
             f"expected {algebra.nvars} base coordinates, got {len(base)}"
         )
     values, mode = lift_with_fallback(f, algebra, base)
-    print(f"mode {mode}")
-    for i, value in enumerate(values):
-        print(f"f{i} = {value.format()}")
+    # format every line first: a number too long to print leaves no partial output
+    lines = [f"f{i} = {value.format()}" for i, value in enumerate(values)]
+    print(f"mode {mode}", *lines, sep="\n")
     return 0
 
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, ParseError, ScalarModeError
-from .polynomials import Polynomial, constant, variable
+from .polynomials import Polynomial, constant, times_power, variable
 
 PRIMITIVES = ("sin", "cos", "exp", "log", "sqrt")
 
@@ -189,6 +189,9 @@ def max_var_index(e: Expr) -> int:
 # parser accepts.  Each parenthesis level costs it five Python frames, so
 # this stays well inside the interpreter's default recursion limit of 1000.
 MAX_NESTING = 100
+# Largest |exponent| the parser accepts after '^'.  A power is multiplied
+# out one factor at a time, so this bounds the work of one Pow node.
+MAX_EXPONENT = 1000
 
 
 class _Parser:
@@ -234,7 +237,11 @@ class _Parser:
             self.pos += 1
         if self.pos == start:
             self.error("expected integer")
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # more digits than int() converts
+            self.pos = start
+            self.error("integer literal too long")
 
     def read_name(self) -> str:
         self.skip_ws()
@@ -288,7 +295,10 @@ class _Parser:
         while self.peek() == "^":
             self.pos += 1
             sign = -1 if self.take("-") else 1
-            node = Pow(node, sign * self.read_int())
+            exponent = self.read_int()
+            if exponent > MAX_EXPONENT:
+                self.error(f"exponent {exponent} exceeds {MAX_EXPONENT}")
+            node = Pow(node, sign * exponent)
         return node
 
     def atom(self) -> Expr:
@@ -438,10 +448,7 @@ def _poly_pow(e: Pow, base: Optional[Polynomial]):
     if base is None:
         return None
     if e.exponent >= 0:
-        result = constant(base.nvars, 1)
-        for _ in range(e.exponent):
-            result = result.mul(base)
-        return result
+        return times_power(constant(base.nvars, 1), base, e.exponent)
     if base.degree() > 0:
         return None
     c = base.constant_term()

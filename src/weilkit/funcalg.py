@@ -25,6 +25,7 @@ from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, 
 
 from .algebras import (
     RATIONAL,
+    RingCoords,
     WeilAlgebra,
     WeilElement,
     real_line_algebra,
@@ -33,7 +34,13 @@ from .algebras import (
 from .errors import AlgebraMismatch, DegreeOverflow, IdealViolation
 from .expressions import SmoothMap, Var, map_polynomials
 from .lifting import Euclidean, FragmentSpace, Product
-from .polynomials import Monomial, Polynomial, monomials_up_to_degree, unit_monomial
+from .polynomials import (
+    Monomial,
+    Polynomial,
+    monomials_up_to_degree,
+    times_power,
+    unit_monomial,
+)
 from .reports import SuiteReport
 from .samplers import (
     random_element,
@@ -47,13 +54,13 @@ from .samplers import (
 # polynomials over a Weil algebra
 
 
-class WeilPoly:
+class WeilPoly(RingCoords):
     """Polynomial in free base variables whose coefficients are
     rational-mode elements of a fixed Weil algebra.  Base variables are
     never truncated; the nilpotent reduction happens inside the
     coefficients."""
 
-    __slots__ = ("nvars", "algebra", "terms")
+    __slots__ = ("nvars", "algebra")
 
     def __init__(self, nvars: int, algebra: WeilAlgebra, terms: Mapping[Monomial, WeilElement]):
         self.nvars = nvars
@@ -70,22 +77,14 @@ class WeilPoly:
                 clean[mono] = coeff
         self.terms = clean
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, WeilPoly)
-            and self.nvars == other.nvars
-            and self.algebra == other.algebra
-            and self.terms == other.terms
-        )
+    def _shape(self) -> tuple:
+        return (self.nvars, self.algebra)
 
-    def __hash__(self) -> int:
-        return hash((self.nvars, self.algebra, tuple(self.terms.items())))
+    def _key_product(self, m1: Monomial, m2: Monomial):
+        return ((m1.mul(m2), 1),)
 
     def __repr__(self) -> str:
         return f"<wpoly {self.format()}>"
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def base_degree(self) -> int:
         return max((m.degree for m in self.terms), default=0)
@@ -103,56 +102,15 @@ class WeilPoly:
                 chunks.append(f"({coeff.format()})*{mono_s}")
         return " + ".join(chunks)
 
-    def _match(self, other: "WeilPoly") -> None:
-        if self.nvars != other.nvars or self.algebra != other.algebra:
-            raise AlgebraMismatch("polynomials over different bases or algebras")
-
-    def add(self, other: "WeilPoly") -> "WeilPoly":
-        self._match(other)
-        acc = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            cur = acc.get(mono)
-            acc[mono] = coeff if cur is None else cur.add(coeff)
-        return WeilPoly(self.nvars, self.algebra, acc)
-
-    def neg(self) -> "WeilPoly":
-        return WeilPoly(
-            self.nvars, self.algebra, {m: c.neg() for m, c in self.terms.items()}
-        )
-
-    def sub(self, other: "WeilPoly") -> "WeilPoly":
-        return self.add(other.neg())
-
-    def scale(self, factor: Fraction) -> "WeilPoly":
-        return WeilPoly(
-            self.nvars, self.algebra, {m: c.scale(factor) for m, c in self.terms.items()}
-        )
-
     def scale_element(self, element: WeilElement) -> "WeilPoly":
         return WeilPoly(
             self.nvars, self.algebra, {m: c.mul(element) for m, c in self.terms.items()}
         )
 
-    def mul(self, other: "WeilPoly") -> "WeilPoly":
-        self._match(other)
-        acc: Dict[Monomial, WeilElement] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                prod = c1.mul(c2)
-                if not prod.coords:
-                    continue
-                mono = m1.mul(m2)
-                cur = acc.get(mono)
-                acc[mono] = prod if cur is None else cur.add(prod)
-        return WeilPoly(self.nvars, self.algebra, acc)
-
     def pow_int(self, exponent: int) -> "WeilPoly":
         if exponent < 0:
             raise ValueError("carrier polynomials only take nonnegative powers")
-        acc = wpoly_const(self.nvars, self.algebra, Fraction(1))
-        for _ in range(exponent):
-            acc = acc.mul(self)
-        return acc
+        return times_power(wpoly_const(self.nvars, self.algebra, Fraction(1)), self, exponent)
 
 
 def wpoly_zero(nvars: int, algebra: WeilAlgebra) -> WeilPoly:
@@ -184,11 +142,10 @@ def substitute_poly(poly: Polynomial, args: Sequence, const: Callable[[Fraction]
     if len(args) != poly.nvars:
         raise AlgebraMismatch("wrong number of substitution arguments")
     acc = const(Fraction(0))
-    for mono, coeff in sorted(poly.terms.items(), key=lambda kv: kv[0].key()):
+    for mono, coeff in poly.sorted_terms():
         term = const(coeff)
         for arg, e in zip(args, mono.exponents):
-            for _ in range(e):
-                term = term.mul(arg)
+            term = times_power(term, arg, e)
         acc = acc.add(term)
     return acc
 
@@ -403,26 +360,17 @@ class DomainMorphism:
         variables and Weil coordinates are replaced by their images."""
         if wp.nvars != self.source.base_arity or wp.algebra != self.source.weil:
             raise AlgebraMismatch("carrier entry does not live over the source")
+        flat = Polynomial(
+            wp.nvars + wp.algebra.nvars,
+            {
+                Monomial(mono.exponents + nil.exponents): c
+                for mono, coeff in wp.terms.items()
+                for nil, c in coeff.coords.items()
+            },
+        )
         n, algebra = self.target.base_arity, self.target.weil
-        acc = wpoly_zero(n, algebra)
-        base_powers: Dict[Monomial, WeilPoly] = {}
-        for mono, coeff in wp.terms.items():
-            base_img = base_powers.get(mono)
-            if base_img is None:
-                base_img = wpoly_const(n, algebra, Fraction(1))
-                for image, e in zip(self.base_part, mono.exponents):
-                    for _ in range(e):
-                        base_img = base_img.mul(image)
-                base_powers[mono] = base_img
-            coeff_img = wpoly_zero(n, algebra)
-            for nil_mono, c in coeff.coords.items():
-                piece = wpoly_const(n, algebra, c)
-                for image, e in zip(self.weil_part, nil_mono.exponents):
-                    for _ in range(e):
-                        piece = piece.mul(image)
-                coeff_img = coeff_img.add(piece)
-            acc = acc.add(base_img.mul(coeff_img))
-        return acc
+        const = lambda c: wpoly_const(n, algebra, c)
+        return substitute_poly(flat, self.base_part + self.weil_part, const)
 
 
 def identity_domain_morphism(domain: Domain) -> DomainMorphism:
@@ -474,7 +422,7 @@ def induced_action(
 # currying
 
 
-class CurriedValue:
+class CurriedValue(RingCoords):
     """A point of the curried side: for each (inner base monomial, inner
     Weil basis monomial) slot, a carrier polynomial over the outer
     domain.  Ring operations are computed natively — inner monomials
@@ -482,7 +430,7 @@ class CurriedValue:
     structure constants — precisely so agreement with the uncurried ring
     is a real check, not a restatement."""
 
-    __slots__ = ("inner_nvars", "inner_algebra", "outer_nvars", "outer_algebra", "slots")
+    __slots__ = ("inner_nvars", "inner_algebra", "outer_nvars", "outer_algebra")
 
     def __init__(
         self,
@@ -506,66 +454,21 @@ class CurriedValue:
                 raise AlgebraMismatch("slot value outside the outer carrier")
             if not wp.is_zero():
                 clean[key] = wp
-        self.slots = clean
+        self.terms = clean
 
-    def _match(self, other: "CurriedValue") -> None:
-        if (
-            self.inner_nvars != other.inner_nvars
-            or self.inner_algebra != other.inner_algebra
-            or self.outer_nvars != other.outer_nvars
-            or self.outer_algebra != other.outer_algebra
-        ):
-            raise AlgebraMismatch("curried values over different shapes")
+    @property
+    def slots(self) -> Dict[Tuple[Monomial, Monomial], WeilPoly]:
+        return self.terms
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, CurriedValue)
-            and self.inner_nvars == other.inner_nvars
-            and self.inner_algebra == other.inner_algebra
-            and self.outer_nvars == other.outer_nvars
-            and self.outer_algebra == other.outer_algebra
-            and self.slots == other.slots
-        )
+    def _shape(self) -> tuple:
+        return (self.inner_nvars, self.inner_algebra, self.outer_nvars, self.outer_algebra)
+
+    def _key_product(self, k1: Tuple[Monomial, Monomial], k2: Tuple[Monomial, Monomial]):
+        mu = k1[0].mul(k2[0])
+        return [((mu, nu), c) for nu, c in self.inner_algebra.basis_product(k1[1], k2[1])]
 
     def __repr__(self) -> str:
-        return f"<curried {len(self.slots)} slots>"
-
-    def add(self, other: "CurriedValue") -> "CurriedValue":
-        self._match(other)
-        acc = dict(self.slots)
-        for key, wp in other.slots.items():
-            cur = acc.get(key)
-            acc[key] = wp if cur is None else cur.add(wp)
-        return CurriedValue(
-            self.inner_nvars, self.inner_algebra, self.outer_nvars, self.outer_algebra, acc
-        )
-
-    def scale(self, factor: Fraction) -> "CurriedValue":
-        return CurriedValue(
-            self.inner_nvars,
-            self.inner_algebra,
-            self.outer_nvars,
-            self.outer_algebra,
-            {k: wp.scale(factor) for k, wp in self.slots.items()},
-        )
-
-    def mul(self, other: "CurriedValue") -> "CurriedValue":
-        self._match(other)
-        acc: Dict[Tuple[Monomial, Monomial], WeilPoly] = {}
-        for (mu1, nu1), p1 in self.slots.items():
-            for (mu2, nu2), p2 in other.slots.items():
-                outer = p1.mul(p2)
-                if outer.is_zero():
-                    continue
-                mu = mu1.mul(mu2)
-                for nu, c in self.inner_algebra.basis_product(nu1, nu2):
-                    piece = outer.scale(c)
-                    key = (mu, nu)
-                    cur = acc.get(key)
-                    acc[key] = piece if cur is None else cur.add(piece)
-        return CurriedValue(
-            self.inner_nvars, self.inner_algebra, self.outer_nvars, self.outer_algebra, acc
-        )
+        return f"<curried {len(self.terms)} slots>"
 
 
 def curried_const(
@@ -637,7 +540,7 @@ class CurryIso:
     def backward(self, value: CurriedValue) -> WeilPoly:
         dom = self.coproduct
         terms: Dict[Monomial, Dict[Monomial, Fraction]] = {}
-        for (mu, nu), wp in value.slots.items():
+        for (mu, nu), wp in value.terms.items():
             for kappa, element in wp.terms.items():
                 mono = Monomial(mu.exponents + kappa.exponents)
                 for xi, c in element.coords.items():
@@ -690,10 +593,10 @@ def curry_iso(
     seen: Dict[Tuple[Monomial, Monomial], int] = {}
     for vi, vector in enumerate(basis_vectors):
         curried = iso.forward(vector)
-        ok = iso.backward(curried) == vector and len(curried.slots) == 1
+        ok = iso.backward(curried) == vector and len(curried.terms) == 1
         if ok:
             # injectivity ledger: each image must be a fresh curried slot
-            ((mu, nu), wp) = next(iter(curried.slots.items()))
+            ((mu, nu), wp) = next(iter(curried.terms.items()))
             wp_key = (mu, nu, tuple(wp.terms.items()))
             ok = wp_key not in seen
             seen[wp_key] = vi

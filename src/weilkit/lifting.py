@@ -29,6 +29,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from .algebras import (
     RATIONAL,
     REAL,
+    RingCoords,
     Scalar,
     WeilAlgebra,
     WeilElement,
@@ -57,7 +58,7 @@ from .expressions import (
     is_polynomial_map,
     polynomial_to_expr,
 )
-from .polynomials import Monomial, unit_monomial
+from .polynomials import Monomial, times_power, unit_monomial
 from .reports import SuiteReport, scalar_str
 from .samplers import random_element, random_point
 
@@ -190,10 +191,7 @@ def lift_expr(e: Expr, args: Sequence, ctx: LiftContext):
     def power(e: Pow, base):
         if e.exponent < 0:
             base = base.inverse()
-        acc = const(Fraction(1))
-        for _ in range(abs(e.exponent)):
-            acc = acc.mul(base)
-        return acc
+        return times_power(const(Fraction(1)), base, abs(e.exponent))
 
     def call(e: Call, value):
         a0 = value.augmentation()
@@ -476,13 +474,13 @@ def check_naturality(
 # nested elements: coordinates on one algebra with scalars in another
 
 
-class NestedElement:
+class NestedElement(RingCoords):
     """An element of `outer` whose coordinates are elements of
     `scalars` — concretely a point of the double prolongation, kept in
     unflattened form so double lifts can be computed without going
     through the tensor algebra they are later compared against."""
 
-    __slots__ = ("outer", "scalars", "coords", "mode")
+    __slots__ = ("outer", "scalars", "mode")
 
     def __init__(
         self,
@@ -493,91 +491,46 @@ class NestedElement:
     ):
         self.outer = outer
         self.scalars = scalars
-        self.coords = {
+        self.terms = {
             m: c
             for m, c in sorted(coords.items(), key=lambda kv: kv[0].key())
             if c.coords
         }
         self.mode = mode
-        for m, c in self.coords.items():
+        for m, c in self.terms.items():
             if m not in outer.basis_index:
                 raise AlgebraMismatch("coordinate monomial outside the quotient basis")
             if c.algebra != scalars or c.mode != mode:
                 raise AlgebraMismatch("nested coordinate in the wrong algebra or mode")
+
+    def _shape(self) -> tuple:
+        return (self.outer, self.scalars)
+
+    def _key_product(self, m1: Monomial, m2: Monomial):
+        return self.outer.basis_product(m1, m2)
+
+    def _new(self, terms: dict) -> "NestedElement":
+        return NestedElement(self.outer, self.scalars, terms, self.mode)
 
     # nilpotency bound of the underlying double prolongation
     @property
     def series_order(self) -> int:
         return self.outer.order + self.scalars.order - 1
 
-    def _match(self, other: "NestedElement") -> None:
-        if (
-            not isinstance(other, NestedElement)
-            or self.outer != other.outer
-            or self.scalars != other.scalars
-        ):
-            raise AlgebraMismatch("nested elements over different algebra pairs")
-        if self.mode != other.mode:
-            raise ScalarModeError("mixed scalar modes")
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, NestedElement)
-            and self.outer == other.outer
-            and self.scalars == other.scalars
-            and self.mode == other.mode
-            and self.coords == other.coords
-        )
-
-    def __hash__(self) -> int:
-        return hash(
-            (self.outer, self.scalars, self.mode, tuple(self.coords.items()))
-        )
-
     def __repr__(self) -> str:
         return f"<nested {self.format()}>"
 
     def format(self) -> str:
-        if not self.coords:
+        if not self.terms:
             return "0"
         names = self.outer.names
         return " + ".join(
-            f"({c.format()})*{m.format(names)}" for m, c in self.coords.items()
+            f"({c.format()})*{m.format(names)}" for m, c in self.terms.items()
         )
-
-    def add(self, other: "NestedElement") -> "NestedElement":
-        self._match(other)
-        acc = dict(self.coords)
-        for m, c in other.coords.items():
-            cur = acc.get(m)
-            acc[m] = c if cur is None else cur.add(c)
-        return NestedElement(self.outer, self.scalars, acc, self.mode)
-
-    def neg(self) -> "NestedElement":
-        return NestedElement(
-            self.outer, self.scalars, {m: c.neg() for m, c in self.coords.items()}, self.mode
-        )
-
-    def sub(self, other: "NestedElement") -> "NestedElement":
-        return self.add(other.neg())
-
-    def mul(self, other: "NestedElement") -> "NestedElement":
-        self._match(other)
-        acc: Dict[Monomial, WeilElement] = {}
-        for m, a in self.coords.items():
-            for n, b in other.coords.items():
-                ab = a.mul(b)
-                if not ab.coords:
-                    continue
-                for k, c in self.outer.basis_product(m, n):
-                    term = ab.scale(c)
-                    cur = acc.get(k)
-                    acc[k] = term if cur is None else cur.add(term)
-        return NestedElement(self.outer, self.scalars, acc, self.mode)
 
     def augmentation(self) -> Scalar:
         unit = unit_monomial(self.outer.nvars)
-        c = self.coords.get(unit)
+        c = self.terms.get(unit)
         if c is None:
             return Fraction(0) if self.mode == RATIONAL else 0.0
         return c.augmentation()
@@ -649,7 +602,7 @@ class AssociativityIso:
         if element.outer != self.w1 or element.scalars != self.w2:
             raise AlgebraMismatch("nested element over the wrong algebra pair")
         coords: Dict[Monomial, Scalar] = {}
-        for m, inner in element.coords.items():
+        for m, inner in element.terms.items():
             for n, c in inner.coords.items():
                 coords[Monomial(m.exponents + n.exponents)] = c
         return self.tensor_algebra.element(coords, element.mode)

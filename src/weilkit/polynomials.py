@@ -30,6 +30,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .errors import ImproperIdeal, ParseError
+from .reports import scalar_str
 
 Exponents = Tuple[int, ...]
 
@@ -261,11 +262,12 @@ class Polynomial:
     def pow_trunc(self, exponent: int, bound: int) -> "Polynomial":
         if exponent < 0:
             raise ValueError("negative exponent")
-        result = constant(self.nvars, 1).truncate(bound)
-        base = self.truncate(bound)
-        for _ in range(exponent):
-            result = result.mul_trunc(base, bound)
-        return result
+        return times_power(
+            constant(self.nvars, 1).truncate(bound),
+            self.truncate(bound),
+            exponent,
+            lambda a, b: a.mul_trunc(b, bound),
+        )
 
     def substitute(self, images: Sequence["Polynomial"], bound: int) -> "Polynomial":
         """Replace variable i by images[i], truncating at total degree
@@ -293,30 +295,42 @@ class Polynomial:
 
     # -- formatting -------------------------------------------------------
     def format(self, names: Sequence[str]) -> str:
-        if not self.terms:
-            return "0"
-        chunks: List[str] = []
-        for mono, coeff in self.sorted_terms():
-            mono_s = mono.format(names)
-            if mono_s == "1":
-                body = str(coeff)
-            elif coeff == 1:
-                body = mono_s
-            elif coeff == -1:
-                body = f"-{mono_s}"
-            else:
-                body = f"{coeff}*{mono_s}"
-            if not chunks:
-                chunks.append(body)
-            elif body.startswith("-"):
-                chunks.append(f"- {body[1:]}")
-            else:
-                chunks.append(f"+ {body}")
-        return " ".join(chunks)
+        return format_terms(self.sorted_terms(), names)
 
     def __repr__(self) -> str:
         names = [f"v{i}" for i in range(self.nvars)]
         return f"Polynomial({self.format(names)})"
+
+
+def times_power(acc, base, exponent: int, mul=lambda a, b: a.mul(b)):
+    """acc * base^exponent, multiplied in one factor of base at a time
+    (exponent >= 0).  The one power routine: it stays stepwise because
+    squaring regroups float products and so changes real-mode results."""
+    for _ in range(exponent):
+        acc = mul(acc, base)
+    return acc
+
+
+def format_terms(terms: Iterable[Tuple[Monomial, object]], names: Sequence[str]) -> str:
+    """Text of a linear combination of monomials, in the given order."""
+    chunks: List[str] = []
+    for mono, coeff in terms:
+        mono_s = mono.format(names)
+        if mono_s == "1":
+            body = scalar_str(coeff)
+        elif coeff == 1:
+            body = mono_s
+        elif coeff == -1:
+            body = f"-{mono_s}"
+        else:
+            body = f"{scalar_str(coeff)}*{mono_s}"
+        if not chunks:
+            chunks.append(body)
+        elif body.startswith("-"):
+            chunks.append(f"- {body[1:]}")
+        else:
+            chunks.append(f"+ {body}")
+    return " ".join(chunks) or "0"
 
 
 def constant(nvars: int, value: Fraction | int) -> Polynomial:
@@ -375,7 +389,10 @@ def parse_polynomial(text: str, names: Sequence[str]) -> Polynomial:
             p += 1
         if p == start:
             raise ParseError("expected integer", start)
-        return int(text[start:p]), p
+        try:
+            return int(text[start:p]), p
+        except ValueError:  # more digits than int() converts
+            raise ParseError("integer literal too long", start) from None
 
     def read_name(p: int) -> Tuple[str, int]:
         start = p

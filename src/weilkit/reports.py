@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Dict, List
 
+from .errors import DomainError
+
 TOOL_VERSION = "0.1.0"
 
 
@@ -84,10 +86,15 @@ def jsonable(value: Any) -> Any:
 
 
 def scalar_str(value) -> str:
-    """Fractions as 'p/q' (or 'p' when integral); floats via repr."""
-    if isinstance(value, Fraction):
-        return str(value)
-    return repr(value)
+    """Fractions as 'p/q' (or 'p' when integral); floats via repr.  This
+    is where every printed scalar becomes text: a number with more digits
+    than the interpreter converts to text is a DomainError."""
+    try:
+        return str(value) if isinstance(value, Fraction) else repr(value)
+    except ValueError as exc:
+        raise DomainError(
+            "a result has a number with too many digits to print"
+        ) from exc
 
 
 def render_report(report: Report) -> str:

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from weilkit.algebras import preset_algebra
 from weilkit.errors import DomainError, ParseError, ScalarModeError
 from weilkit.expressions import (
+    MAX_EXPONENT,
     MAX_NESTING,
     Add,
     Call,
@@ -119,6 +120,20 @@ class TestParsing:
         with pytest.raises(ParseError) as exc:
             parse_smooth_map("t + qq")
         assert exc.value.position == 6
+
+    def test_exponent_bound(self):
+        assert MAX_EXPONENT == 1000
+        for text in ("t^1000", "t^-1000"):
+            (out,) = parse_smooth_map(text).outputs
+            assert abs(out.exponent) == 1000
+        for text in ("t^1001", "t^-1001", "(1 + t)^2^1001"):
+            with pytest.raises(ParseError, match="exceeds 1000"):
+                parse_smooth_map(text)
+
+    @pytest.mark.parametrize("text", ["9" * 5000, "t^" + "9" * 5000])
+    def test_integer_too_long_to_read(self, text):
+        with pytest.raises(ParseError, match="too long"):
+            parse_smooth_map(text)
 
 
 class TestEvaluation:

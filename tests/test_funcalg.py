@@ -9,10 +9,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weilkit.algebras import preset_algebra, real_line_algebra
-from weilkit.errors import AlgebraMismatch, DegreeOverflow, IdealViolation
+from weilkit.algebras import (
+    RATIONAL,
+    REAL,
+    WeilElement,
+    WeilPresentation,
+    elements_close,
+    mk_weil_algebra,
+    preset_algebra,
+    real_line_algebra,
+    tensor,
+)
+from weilkit.errors import AlgebraMismatch, DegreeOverflow, IdealViolation, ScalarModeError
 from weilkit.funcalg import (
     CarrierPoint,
+    CurriedValue,
     CurryIso,
     Domain,
     DomainMorphism,
@@ -42,7 +53,13 @@ from weilkit.funcalg import (
     wpoly_from_base,
     wpoly_zero,
 )
-from weilkit.lifting import Euclidean, Product
+from weilkit.lifting import (
+    AssociativityIso,
+    Euclidean,
+    NestedElement,
+    Product,
+    random_nested,
+)
 from weilkit.polynomials import Monomial, parse_polynomial
 
 DUAL = preset_algebra("dual")
@@ -567,3 +584,92 @@ class TestFunctorialityProbe:
         r1 = probe_functoriality(Euclidean(1), 32, samples=8, rng=random.Random(71))
         r2 = probe_functoriality(Euclidean(1), 32, samples=8, rng=random.Random(71))
         assert r1.cases == r2.cases and r1.extra == r2.extra
+
+
+# x*y reduces to x^2/2 here, so a basis product can carry a factor other than 1
+SKEW = mk_weil_algebra(WeilPresentation(("x", "y"), ("x^2 - 2*x*y",), 3))
+SKEW_CURRY = CurryIso(1, SKEW, 1, DUAL)
+SKEW_ASSOC = AssociativityIso(SKEW, JET2, tensor(SKEW, JET2))
+
+# Per coordinate type with ring-valued coefficients: a seeded sampler, a
+# value of another shape, and a ring map onto a product computed without
+# the shared operations (None where the basis product has no factors).
+RING_COORDS = {
+    "carrier": (
+        lambda rng: random_weil_poly(rng, Domain(1, SKEW), 2),
+        lambda rng: random_weil_poly(rng, Domain(1, DUAL), 2),
+        None,
+    ),
+    "curried": (
+        lambda rng: SKEW_CURRY.forward(random_weil_poly(rng, SKEW_CURRY.coproduct, 1)),
+        lambda rng: curried_const(1, DUAL, 1, DUAL, Fraction(2)),
+        SKEW_CURRY.backward,
+    ),
+    "nested-rational": (
+        lambda rng: random_nested(rng, SKEW, JET2, RATIONAL),
+        lambda rng: random_nested(rng, DUAL, JET2, RATIONAL),
+        SKEW_ASSOC.forward,
+    ),
+    "nested-real": (
+        lambda rng: random_nested(rng, SKEW, JET2, REAL),
+        lambda rng: random_nested(rng, DUAL, JET2, REAL),
+        SKEW_ASSOC.forward,
+    ),
+}
+
+
+def close(a, b):
+    """Exact equality, or coefficientwise closeness in real mode, where
+    regrouped float sums may differ in the last bits."""
+    if a.mode == RATIONAL:
+        return a == b
+    if isinstance(a, WeilElement):
+        return elements_close(a, b)
+    zero = a.scalars.zero(REAL)
+    return all(
+        elements_close(a.terms.get(k, zero), b.terms.get(k, zero))
+        for k in set(a.terms) | set(b.terms)
+    )
+
+
+class TestSharedRingOperations:
+    def test_one_implementation_serves_every_type(self):
+        for cls in (WeilPoly, CurriedValue, NestedElement):
+            assert not {"add", "neg", "sub", "scale", "mul"} & set(vars(cls))
+
+    @pytest.mark.parametrize("kind", sorted(RING_COORDS))
+    def test_ring_laws(self, kind):
+        sample, _, flatten = RING_COORDS[kind]
+        rng = random.Random(83)
+        for _ in range(8):
+            a, b, c = sample(rng), sample(rng), sample(rng)
+            assert close(a.mul(b), b.mul(a))
+            assert close(a.mul(b.mul(c)), a.mul(b).mul(c))
+            assert close(a.mul(b.add(c)), a.mul(b).add(a.mul(c)))
+            assert close(a.scale(Fraction(3, 2)).mul(b), a.mul(b).scale(Fraction(3, 2)))
+            if flatten is not None:
+                assert close(flatten(a.mul(b)), flatten(a).mul(flatten(b)))
+                assert flatten(a.sub(b)) == flatten(a).sub(flatten(b))
+            assert a.sub(a).is_zero() and not a.is_zero()
+            assert a.add(b) == b.add(a) and hash(a.add(b)) == hash(b.add(a))
+            assert a.neg().neg() == a and hash(a.neg().neg()) == hash(a)
+
+    @pytest.mark.parametrize("kind", sorted(RING_COORDS))
+    def test_shape_mismatch(self, kind):
+        sample, other_shape, _ = RING_COORDS[kind]
+        rng = random.Random(89)
+        a, b = sample(rng), other_shape(rng)
+        assert a != b
+        for op in (a.add, a.sub, a.mul):
+            with pytest.raises(AlgebraMismatch):
+                op(b)
+
+    def test_nested_mode_mismatch(self):
+        rng = random.Random(97)
+        exact = random_nested(rng, SKEW, JET2, RATIONAL)
+        real = random_nested(rng, SKEW, JET2, REAL)
+        assert exact != real
+        for a, b in ((exact, real), (real, exact)):
+            for op in (a.add, a.sub, a.mul):
+                with pytest.raises(ScalarModeError):
+                    op(b)

@@ -78,6 +78,12 @@ def test_parse_rejects_malformed(bad):
         P(bad)
 
 
+def test_parse_rejects_integer_too_long():
+    for bad in ("x^" + "9" * 5000, "9" * 5000 + "*x", "1/" + "9" * 5000):
+        with pytest.raises(ParseError, match="too long"):
+            P(bad)
+
+
 # ---------------------------------------------------------------------------
 # graded-lex order
 

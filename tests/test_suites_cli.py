@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -296,6 +297,22 @@ class TestCliLift:
         err = capsys.readouterr().err
         assert err.startswith("error: expression nested deeper than")
         assert len(err.splitlines()) == 1
+
+    def test_huge_exponent_exits_2_at_once(self, capsys):
+        started = time.monotonic()
+        assert main(["lift", "--algebra", "dual", "--expr", "t^1000000", "--at", "1"]) == 2
+        assert time.monotonic() - started < 0.5
+        err = capsys.readouterr().err
+        assert err.startswith("error: exponent 1000000 exceeds 1000")
+        assert len(err.splitlines()) == 1
+
+    def test_result_too_long_to_print_exits_3(self, capsys):
+        argv = ["lift", "--algebra", "dual", "--expr", "(1+t)^1000", "--at", "12345678"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: a result has a number with too many digits")
+        assert "Traceback" not in captured.err and len(captured.err.splitlines()) == 1
+        assert "f0" not in captured.out
 
 
 class TestCliDerive:
