@@ -15,14 +15,15 @@ Morphisms are represented by their polynomial substitution data
 (``psibar``): one polynomial per *source* variable, written in the
 *target* variables, with zero constant term, such that every generator
 of the source ideal reduces to zero in the target after substitution.
-Applying a morphism to an element substitutes into a canonical
-representative and reduces; this is precomputed as a linear action on
-the source basis.
+Validation and the action both substitute the classes of psibar into
+the target algebra itself; the action is precomputed on the source
+basis.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
@@ -47,9 +48,10 @@ from .polynomials import (
     from_monomial,
     monomials_of_degree,
     parse_polynomial,
+    substitute_poly,
     times_power,
     unit_monomial,
-    var_monomial,
+    variable,
 )
 
 Scalar = Union[Fraction, float]
@@ -101,6 +103,10 @@ class WeilPresentation:
 # is keyed on the presentation itself, not on the echelon signature:
 # presentations of one ideal with different relations print differently.
 INTERN_CAPACITY = 256
+
+# Largest truncated ring an algebra may span: comb(nvars + order - 1,
+# nvars) monomials of total degree below the order.
+MAX_MONOMIALS = 1000
 
 
 @lru_cache(maxsize=INTERN_CAPACITY)
@@ -155,6 +161,12 @@ class WeilAlgebra:
             raise ValueError("variable names must be distinct")
         if order < 1:
             raise ValueError("nilpotency order must be >= 1")
+        size = math.comb(len(names) + order - 1, len(names))
+        if size > MAX_MONOMIALS:
+            raise ParseError(
+                f"presentation spans {size} monomials below degree {order}; "
+                f"at most {MAX_MONOMIALS} are allowed"
+            )
         self.names = tuple(names)
         self.nvars = len(self.names)
         self.order = order
@@ -210,7 +222,10 @@ class WeilAlgebra:
             if isinstance(value, float):
                 raise ScalarModeError("float scalar in rational mode")
             return Fraction(value)
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise DomainError("a real-mode scalar is out of float range") from None
 
     def element(self, coords: Dict[Monomial, Scalar], mode: str = RATIONAL) -> "WeilElement":
         clean: Dict[Monomial, Scalar] = {}
@@ -238,18 +253,13 @@ class WeilAlgebra:
     def from_polynomial(self, poly: Polynomial, mode: str = RATIONAL) -> "WeilElement":
         """Reduce an exact polynomial representative to its element."""
         nf = self.reduction.normal_form(poly)
-        coords: Dict[Monomial, Scalar] = {}
-        for mono, c in nf.terms.items():
-            coords[mono] = c if mode == RATIONAL else float(c)
-        return WeilElement(self, coords, mode)
+        return WeilElement(self, {m: self._coerce(c, mode) for m, c in nf.terms.items()}, mode)
 
     def var_element(self, index: int, mode: str = RATIONAL) -> "WeilElement":
         """The class of the i-th presentation variable."""
         if not 0 <= index < self.nvars:
             raise ValueError("variable index out of range")
-        return self.from_polynomial(
-            from_monomial(var_monomial(self.nvars, index)), mode
-        )
+        return self.from_polynomial(variable(self.nvars, index), mode)
 
     def basis_element(self, mono: Monomial, mode: str = RATIONAL) -> "WeilElement":
         one: Scalar = Fraction(1) if mode == RATIONAL else 1.0
@@ -271,6 +281,8 @@ class WeilElement:
         self.algebra = algebra
         self.coords = {m: c for m, c in sorted(coords.items(), key=lambda kv: kv[0].key()) if c != 0}
         self.mode = mode
+        if mode == REAL and not all(map(math.isfinite, self.coords.values())):
+            raise DomainError("a real-mode coordinate is out of float range")
 
     # -- plumbing -----------------------------------------------------------
     def _match(self, other: "WeilElement") -> None:
@@ -321,12 +333,7 @@ class WeilElement:
         return self.add(other.neg())
 
     def scale(self, factor: Scalar) -> "WeilElement":
-        if self.mode == RATIONAL:
-            if isinstance(factor, float):
-                raise ScalarModeError("float factor in rational mode")
-            f: Scalar = Fraction(factor)
-        else:
-            f = float(factor)
+        f = self.algebra._coerce(factor, self.mode)
         if f == 0:
             return self.algebra.zero(self.mode)
         return WeilElement(self.algebra, {m: c * f for m, c in self.coords.items()}, self.mode)
@@ -386,9 +393,8 @@ class WeilElement:
     def to_real(self) -> "WeilElement":
         if self.mode == REAL:
             return self
-        return WeilElement(
-            self.algebra, {m: float(c) for m, c in self.coords.items()}, REAL
-        )
+        coerce = self.algebra._coerce
+        return WeilElement(self.algebra, {m: coerce(c, REAL) for m, c in self.coords.items()}, REAL)
 
     def as_polynomial(self) -> Polynomial:
         """Canonical polynomial representative (rational mode only)."""
@@ -546,11 +552,6 @@ class WeilMorphism:
         self.source = source
         self.target = target
         self.psibar = tuple(psibar)
-        self._action: Dict[Monomial, WeilElement] = {}
-        self._validate()
-        self._build_action()
-
-    def _validate(self) -> None:
         if len(self.psibar) != self.source.nvars:
             raise AlgebraMismatch(
                 f"psibar must have {self.source.nvars} components, got {len(self.psibar)}"
@@ -562,17 +563,18 @@ class WeilMorphism:
                 raise BasePointViolation(
                     f"psibar component {i} has nonzero constant term"
                 )
-        for gen in self.source.ideal_generators():
-            image = gen.substitute(list(self.psibar), self.target.order)
-            if not self.target.reduction.normal_form(image).is_zero():
+        # the quotient map is a ring homomorphism, so substituting the
+        # classes of psibar in the target gives the class of gen(psibar)
+        images = [target.from_polynomial(p) for p in self.psibar]
+        for gen in source.ideal_generators():
+            if not substitute_poly(gen, images, target.const).is_zero():
                 raise IdealViolation(
-                    f"generator {gen.format(self.source.names)} does not map into the target ideal"
+                    f"generator {gen.format(source.names)} does not map into the target ideal"
                 )
-
-    def _build_action(self) -> None:
-        for mono in self.source.basis:
-            rep = from_monomial(mono).substitute(list(self.psibar), self.target.order)
-            self._action[mono] = self.target.from_polynomial(rep)
+        self._action: Dict[Monomial, WeilElement] = {
+            mono: substitute_poly(from_monomial(mono), images, target.const)
+            for mono in source.basis
+        }
 
     def apply(self, element: WeilElement) -> WeilElement:
         if element.algebra != self.source:
@@ -627,9 +629,7 @@ def mk_morphism(
 
 
 def identity_morphism(algebra: WeilAlgebra) -> WeilMorphism:
-    psibar = [
-        from_monomial(var_monomial(algebra.nvars, i)) for i in range(algebra.nvars)
-    ]
+    psibar = [variable(algebra.nvars, i) for i in range(algebra.nvars)]
     return WeilMorphism(algebra, algebra, psibar)
 
 
@@ -681,13 +681,9 @@ def tensor_inclusions(
     if t is None:
         t = tensor(w1, w2)
     total = t.nvars
-    left = WeilMorphism(
-        w1, t, [from_monomial(var_monomial(total, i)) for i in range(w1.nvars)]
-    )
+    left = WeilMorphism(w1, t, [variable(total, i) for i in range(w1.nvars)])
     right = WeilMorphism(
-        w2,
-        t,
-        [from_monomial(var_monomial(total, w1.nvars + j)) for j in range(w2.nvars)],
+        w2, t, [variable(total, w1.nvars + j) for j in range(w2.nvars)]
     )
     return left, right
 
@@ -708,14 +704,11 @@ def tensor_pair(
         raise ScalarModeError("mixed scalar modes in tensor_pair")
     if t is None:
         t = tensor(w1, w2)
-    total = t.nvars
-    coords: Dict[Monomial, Scalar] = {}
-    for m1, c1 in a.coords.items():
-        left = embed_poly(from_monomial(m1), total, 0)
-        lm = next(iter(left.terms))
-        for m2, c2 in b.coords.items():
-            rm = next(iter(embed_poly(from_monomial(m2), total, w1.nvars).terms))
-            coords[lm.mul(rm)] = c1 * c2
+    coords = {
+        Monomial(m1.exponents + m2.exponents): c1 * c2
+        for m1, c1 in a.coords.items()
+        for m2, c2 in b.coords.items()
+    }
     return t.element(coords, a.mode)
 
 

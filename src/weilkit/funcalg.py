@@ -19,7 +19,7 @@ import functools
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -38,6 +38,7 @@ from .polynomials import (
     Monomial,
     Polynomial,
     monomials_up_to_degree,
+    substitute_poly,
     times_power,
     unit_monomial,
 )
@@ -134,20 +135,6 @@ def wpoly_from_base(poly: Polynomial, algebra: WeilAlgebra) -> WeilPoly:
     return WeilPoly(
         poly.nvars, algebra, {m: algebra.const(c) for m, c in poly.terms.items()}
     )
-
-
-def substitute_poly(poly: Polynomial, args: Sequence, const: Callable[[Fraction], object]):
-    """Evaluate a rational-coefficient polynomial in any commutative ring
-    presented through add/mul/scale, with `const` embedding rationals."""
-    if len(args) != poly.nvars:
-        raise AlgebraMismatch("wrong number of substitution arguments")
-    acc = const(Fraction(0))
-    for mono, coeff in poly.sorted_terms():
-        term = const(coeff)
-        for arg, e in zip(args, mono.exponents):
-            term = times_power(term, arg, e)
-        acc = acc.add(term)
-    return acc
 
 
 # ---------------------------------------------------------------------------

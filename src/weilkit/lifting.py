@@ -259,7 +259,8 @@ def lift_with_fallback(
     try:
         return taylor_lift_at(f, algebra, base, RATIONAL), RATIONAL
     except ScalarModeError:
-        return taylor_lift_at(f, algebra, [float(b) for b in base], REAL), REAL
+        # const() converts the base point: out of float range is a DomainError
+        return taylor_lift_at(f, algebra, base, REAL), REAL
 
 
 def identity_map(n: int) -> SmoothMap:

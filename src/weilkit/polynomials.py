@@ -24,12 +24,11 @@ canonical: zero exactly on ideal members, idempotent, linear.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
-from .errors import ImproperIdeal, ParseError
+from .errors import AlgebraMismatch, ImproperIdeal, ParseError
 from .reports import scalar_str
 
 Exponents = Tuple[int, ...]
@@ -80,12 +79,6 @@ class Monomial:
 
 def unit_monomial(nvars: int) -> Monomial:
     return Monomial((0,) * nvars)
-
-
-def var_monomial(nvars: int, index: int, power: int = 1) -> Monomial:
-    exps = [0] * nvars
-    exps[index] = power
-    return Monomial(tuple(exps))
 
 
 def monomials_of_degree(nvars: int, degree: int) -> Iterator[Monomial]:
@@ -180,9 +173,6 @@ class Polynomial:
     def constant_term(self) -> Fraction:
         return self.terms.get(unit_monomial(self.nvars), Fraction(0))
 
-    def coefficient(self, mono: Monomial) -> Fraction:
-        return self.terms.get(mono, Fraction(0))
-
     def evaluate(self, args: Sequence[Fraction]) -> Fraction:
         if len(args) != self.nvars:
             raise ValueError("wrong number of arguments")
@@ -259,16 +249,6 @@ class Polynomial:
             self.nvars, {m: c for m, c in self.terms.items() if m.degree < bound}
         )
 
-    def pow_trunc(self, exponent: int, bound: int) -> "Polynomial":
-        if exponent < 0:
-            raise ValueError("negative exponent")
-        return times_power(
-            constant(self.nvars, 1).truncate(bound),
-            self.truncate(bound),
-            exponent,
-            lambda a, b: a.mul_trunc(b, bound),
-        )
-
     def substitute(self, images: Sequence["Polynomial"], bound: int) -> "Polynomial":
         """Replace variable i by images[i], truncating at total degree
         ``bound`` in the image variables throughout."""
@@ -280,14 +260,12 @@ class Polynomial:
             target_nvars = images[0].nvars
             if any(p.nvars != target_nvars for p in images):
                 raise ValueError("substitution images disagree on arity")
-        acc = Polynomial(target_nvars)
-        for mono, coeff in self.sorted_terms():
-            piece = constant(target_nvars, coeff)
-            for i, e in enumerate(mono.exponents):
-                if e:
-                    piece = piece.mul_trunc(images[i].pow_trunc(e, bound), bound)
-            acc = acc.add(piece)
-        return acc.truncate(bound)
+        return substitute_poly(
+            self,
+            images,
+            lambda c: constant(target_nvars, c),
+            lambda a, b: a.mul_trunc(b, bound),
+        ).truncate(bound)
 
     def _check(self, other: "Polynomial") -> None:
         if self.nvars != other.nvars:
@@ -308,6 +286,21 @@ def times_power(acc, base, exponent: int, mul=lambda a, b: a.mul(b)):
     squaring regroups float products and so changes real-mode results."""
     for _ in range(exponent):
         acc = mul(acc, base)
+    return acc
+
+
+def substitute_poly(poly: Polynomial, args: Sequence, const, mul=lambda a, b: a.mul(b)):
+    """The one substitution loop: evaluate a rational-coefficient
+    polynomial at ``args`` in any commutative ring presented through add
+    and ``mul``, with ``const`` embedding rationals."""
+    if len(args) != poly.nvars:
+        raise AlgebraMismatch("wrong number of substitution arguments")
+    acc = const(Fraction(0))
+    for mono, coeff in poly.sorted_terms():
+        term = const(coeff)
+        for arg, e in zip(args, mono.exponents):
+            term = times_power(term, arg, e, mul)
+        acc = acc.add(term)
     return acc
 
 
@@ -341,7 +334,9 @@ def constant(nvars: int, value: Fraction | int) -> Polynomial:
 
 
 def variable(nvars: int, index: int) -> Polynomial:
-    return Polynomial(nvars, {var_monomial(nvars, index): Fraction(1)})
+    exps = [0] * nvars
+    exps[index] = 1
+    return from_monomial(Monomial(tuple(exps)))
 
 
 def from_monomial(mono: Monomial, coeff: Fraction | int = 1) -> Polynomial:
@@ -474,6 +469,23 @@ def parse_polynomial(text: str, names: Sequence[str]) -> Polynomial:
 # Reduced row echelon form of the truncated ideal, and normal forms.
 
 
+def _eliminate(acc: Terms, rows: Iterable[Tuple[Monomial, Polynomial]]) -> Terms:
+    """Clear each row's pivot from ``acc`` in place by subtracting a
+    multiple of the row.  Every row is monic in its pivot and holds no
+    other row's pivot, so the order of the rows does not matter."""
+    for pivot, row in rows:
+        c = acc.get(pivot)
+        if not c:
+            continue
+        for mono, rc in row.terms.items():
+            s = acc.get(mono, Fraction(0)) - c * rc
+            if s:
+                acc[mono] = s
+            else:
+                acc.pop(mono, None)
+    return acc
+
+
 class ReductionBasis:
     """RREF rows spanning the image of ``<generators> + m^k`` inside the
     truncated ring of polynomials of total degree < k.
@@ -498,18 +510,8 @@ class ReductionBasis:
         at degree >= order, then eliminate every pivot monomial."""
         if poly.nvars != self.nvars:
             raise ValueError("polynomial arity mismatch with reduction basis")
-        acc = dict(poly.truncate(self.order).terms)
-        for pivot, row in self.rows:
-            c = acc.get(pivot)
-            if not c:
-                continue
-            for mono, rc in row.terms.items():
-                s = acc.get(mono, Fraction(0)) - c * rc
-                if s:
-                    acc[mono] = s
-                else:
-                    acc.pop(mono, None)
-        return Polynomial(self.nvars, acc)
+        acc = {m: c for m, c in poly.terms.items() if m.degree < self.order}
+        return Polynomial(self.nvars, _eliminate(acc, self.rows))
 
     def quotient_basis(self) -> List[Monomial]:
         """Non-pivot monomials of degree < order, graded-lex ascending."""
@@ -549,29 +551,18 @@ def build_reduction_basis(
     rows: Dict[Monomial, Polynomial] = {}
 
     def insert(poly: Polynomial) -> None:
-        acc = dict(poly.truncate(order).terms)
-        # forward-eliminate existing pivots
-        for pivot, row in sorted(rows.items(), key=lambda kv: kv[0].key()):
-            c = acc.get(pivot)
-            if not c:
-                continue
-            for mono, rc in row.terms.items():
-                s = acc.get(mono, Fraction(0)) - c * rc
-                if s:
-                    acc[mono] = s
-                else:
-                    acc.pop(mono, None)
+        acc = _eliminate(dict(poly.terms), rows.items())
         if not acc:
             return
         pivot = min(acc, key=Monomial.key)
         lead = acc[pivot]
         new_row = Polynomial(nvars, {m: c / lead for m, c in acc.items()})
         # back-substitute into existing rows
-        for other_pivot in list(rows):
-            other = rows[other_pivot]
-            c = other.coefficient(pivot)
-            if c:
-                rows[other_pivot] = other.sub(new_row.scale(c))
+        for other_pivot, other in rows.items():
+            if pivot in other.terms:
+                rows[other_pivot] = Polynomial(
+                    nvars, _eliminate(dict(other.terms), [(pivot, new_row)])
+                )
         rows[pivot] = new_row
 
     for g in gens:

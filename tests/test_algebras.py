@@ -4,18 +4,22 @@ presentations (dimension counts, pivot enumerations, substitutions)
 before implementing the operations.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weilkit import algebras, samplers
 from weilkit.algebras import (
     INTERN_CAPACITY,
+    MAX_MONOMIALS,
     PRESETS,
     RATIONAL,
     REAL,
     WeilAlgebra,
+    WeilMorphism,
     WeilPresentation,
     _built,
     compose_morphism,
@@ -37,9 +41,10 @@ from weilkit.errors import (
     DomainError,
     IdealViolation,
     ImproperIdeal,
+    ParseError,
     ScalarModeError,
 )
-from weilkit.polynomials import Monomial, parse_polynomial
+from weilkit.polynomials import Monomial, from_monomial, parse_polynomial
 
 
 def algebra(variables, relations, k):
@@ -419,3 +424,95 @@ def test_tensor_morphism_commutes_with_inclusions():
     li_tgt, _ = tensor_inclusions(JET4, D2, tgt)
     a = DUAL.from_polynomial(parse_polynomial("2 + 3*x", ("x",)))
     assert tp.apply(li_src.apply(a)) == li_tgt.apply(psi.apply(a))
+
+
+def _sampled_candidates(monkeypatch, seeds):
+    """Every psibar that random_morphism tries, rejected ones included,
+    with the morphism or the IdealViolation it produced."""
+    seen = []
+
+    def recording(source, target, psibar):
+        try:
+            morphism = WeilMorphism(source, target, psibar)
+        except IdealViolation as exc:
+            seen.append((source, target, psibar, exc))
+            raise
+        seen.append((source, target, psibar, morphism))
+        return morphism
+
+    monkeypatch.setattr(samplers, "WeilMorphism", recording)
+    for seed in seeds:
+        rng = random.Random(seed)
+        source = samplers.random_weil_algebra(rng)
+        target = samplers.random_weil_algebra(rng)
+        samplers.random_morphism(rng, source, target)
+    return seen
+
+
+def test_morphism_check_agrees_with_truncated_substitution(monkeypatch):
+    # the quotient map is a ring homomorphism and m^k lies in the ideal, so
+    # the class of gen(psibar) is the normal form of its truncation
+    accepted = rejected = 0
+    for source, target, psibar, outcome in _sampled_candidates(monkeypatch, range(40)):
+        bad = [
+            gen
+            for gen in source.ideal_generators()
+            if not target.reduction.normal_form(
+                gen.substitute(list(psibar), target.order)
+            ).is_zero()
+        ]
+        if bad:
+            rejected += 1
+            assert isinstance(outcome, IdealViolation)
+            assert str(outcome) == (
+                f"generator {bad[0].format(source.names)} does not map into the target ideal"
+            )
+            continue
+        accepted += 1
+        assert isinstance(outcome, WeilMorphism)
+        for mono in source.basis:
+            expected = target.from_polynomial(
+                from_monomial(mono).substitute(list(psibar), target.order)
+            )
+            assert outcome.apply(source.basis_element(mono)) == expected
+    assert accepted > 10 and rejected > 10
+
+
+# ---------------------------------------------------------------------------
+# resource limits
+
+
+def test_presentation_size_cap_is_checked_before_building(monkeypatch):
+    monkeypatch.setattr(algebras, "MAX_MONOMIALS", 3)
+    assert algebra(("x", "y"), ("x*y",), 2).dimension == 3  # 1, x, y: at the cap
+    with pytest.raises(ParseError, match="6 monomials below degree 3; at most 3"):
+        algebra(("x", "y"), ("x*y",), 3)
+
+
+def test_presentation_size_cap_covers_tensors_and_jets():
+    assert MAX_MONOMIALS == 1000
+    with pytest.raises(ParseError, match="at most 1000"):
+        jet_algebra(1000)  # t^0 .. t^1000
+    with pytest.raises(ParseError, match="at most 1000"):
+        tensor(jet_algebra(30), jet_algebra(30))  # 2 variables below degree 61
+    with pytest.raises(ParseError, match="at most 1000"):
+        algebra(("x",), ("x^2",), 100000)
+
+
+def test_real_coordinates_outside_float_range_are_domain_errors():
+    huge = Fraction(10) ** 400
+    with pytest.raises(DomainError, match="out of float range"):
+        DUAL.const(huge, REAL)
+    with pytest.raises(DomainError, match="out of float range"):
+        DUAL.element({Monomial((1,)): float("inf")}, REAL)
+    with pytest.raises(DomainError, match="out of float range"):
+        DUAL.const(huge).to_real()
+    with pytest.raises(DomainError, match="out of float range"):
+        DUAL.from_polynomial(parse_polynomial(f"{10 ** 400}*x", ("x",)), REAL)
+    big = DUAL.const(1e200).add(DUAL.var_element(0, REAL))
+    with pytest.raises(DomainError, match="out of float range"):
+        big.mul(big)  # 1e400 overflows the float product
+    with pytest.raises(DomainError, match="out of float range"):
+        big.scale(1e200)
+    # exact elements of any size stay exact
+    assert DUAL.const(huge).mul(DUAL.const(huge)) == DUAL.const(huge * huge)

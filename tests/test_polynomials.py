@@ -7,13 +7,14 @@ reducing over the rationals before the implementation existed; they are
 frozen here as ground truth.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weilkit.errors import ImproperIdeal, ParseError
+from weilkit.errors import AlgebraMismatch, ImproperIdeal, ParseError
 from weilkit.polynomials import (
     Monomial,
     Polynomial,
@@ -23,9 +24,11 @@ from weilkit.polynomials import (
     from_monomial,
     monomials_below_degree,
     parse_polynomial,
+    substitute_poly,
     unit_monomial,
     variable,
 )
+from weilkit.samplers import random_polynomial
 
 
 def P(text: str, names=("x", "y")) -> Polynomial:
@@ -215,6 +218,25 @@ def test_substitute_composes_polynomials():
     assert p.substitute([t3, t2], 10).is_zero()
 
 
+def test_substitute_checks_argument_count():
+    p = P("x^2 - y^3")
+    t = parse_polynomial("t", ("t",))
+    with pytest.raises(ValueError, match="arity mismatch"):
+        p.substitute([t], 4)
+    with pytest.raises(AlgebraMismatch):
+        substitute_poly(p, [t], lambda c: constant(1, c))
+
+
+def test_substitute_truncates_like_a_full_expansion():
+    rng = random.Random(3)
+    for _ in range(30):
+        p = random_polynomial(rng, 2, max_degree=4, max_terms=4)
+        images = [random_polynomial(rng, 2, max_degree=3, max_terms=3) for _ in range(2)]
+        full = substitute_poly(p, images, lambda c: constant(2, c))
+        for bound in (1, 3, 6):
+            assert p.substitute(images, bound) == full.truncate(bound)
+
+
 def test_embed_poly_offsets_block():
     p = parse_polynomial("x^2", ("x",))
     q = embed_poly(p, 3, 1)
@@ -224,3 +246,24 @@ def test_embed_poly_offsets_block():
 def test_format_round_trips_through_parser():
     p = P("1/2*x^2*y - 3*y^4 + x")
     assert P(p.format(("x", "y"))) == p
+
+
+def test_generator_order_does_not_change_the_reduction_basis():
+    rng = random.Random(17)
+    for _ in range(25):
+        nvars, order = rng.randint(1, 3), rng.randint(2, 5)
+        gens = [
+            random_polynomial(rng, nvars, max_degree=order, max_terms=3, min_degree=1)
+            for _ in range(rng.randint(1, 4))
+        ]
+        basis = build_reduction_basis(gens, nvars, order)
+        pivots = basis.pivot_set()
+        for pivot, row in basis.rows:
+            # monic in its pivot, no other row's pivot, nothing below it
+            assert row.terms[pivot] == 1
+            assert pivots & set(row.terms) == {pivot}
+            assert all(pivot.key() <= m.key() for m in row.terms)
+        for _ in range(3):
+            shuffled = gens[:]
+            rng.shuffle(shuffled)
+            assert build_reduction_basis(shuffled, nvars, order) == basis

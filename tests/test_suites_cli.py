@@ -247,6 +247,16 @@ class TestCliCheck:
         f.write_text("{")
         assert main(["check", str(f)]) == 2
 
+    def test_oversized_presentation_exits_2_at_once(self, tmp_path, capsys):
+        f = tmp_path / "huge.json"
+        write_presentation(f, ["x"], ["x^2"], 100000)
+        started = time.monotonic()
+        assert main(["check", str(f)]) == 2
+        assert time.monotonic() - started < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: presentation spans 100000 monomials")
+        assert len(err.splitlines()) == 1
+
     def test_console_module_entry(self):
         proc = subprocess.run(
             [sys.executable, "-m", "weilkit.cli", "check",
@@ -313,6 +323,23 @@ class TestCliLift:
         assert captured.err.startswith("error: a result has a number with too many digits")
         assert "Traceback" not in captured.err and len(captured.err.splitlines()) == 1
         assert "f0" not in captured.out
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lift", "--algebra", "dual", "--expr", "exp(t)^1000", "--at", "1"],
+            ["lift", "--algebra", "dual", "--expr", "exp(t)^1000/exp(t)^1000", "--at", "1"],
+            ["derive", "--order", "3", "--expr", "exp(t)^400", "--at", "2"],
+            ["lift", "--algebra", "dual", "--expr", "sin(t)", "--at", "1e400"],
+        ],
+    )
+    def test_values_outside_float_range_exit_3(self, argv, capsys):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "out of float range" in captured.err
+        assert len(captured.err.splitlines()) == 1
 
 
 class TestCliDerive:
