@@ -5,7 +5,10 @@ An algebra is presented by named variables, relation polynomials with
 zero constant term, and an explicit nilpotency order k; the ideal is
 ``<relations> + m^k`` where m is the maximal ideal at the origin.  The
 quotient is finite dimensional with the non-pivot monomials of total
-degree < k as its canonical basis.
+degree < k as its canonical basis.  The structure constants are the
+normal forms of the monomials of degree < k, which the echelon rows
+already hold; a product of two basis monomials adds exponents and looks
+the sum up among them.
 
 Elements store coordinates on that basis.  Each element is uniformly in
 one of two scalar modes — exact ``Fraction`` or double-precision float —
@@ -27,6 +30,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
+from operator import add
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple, Union
 
@@ -40,12 +44,14 @@ from .errors import (
     ScalarModeError,
 )
 from .polynomials import (
+    Exponents,
     Monomial,
     Polynomial,
     build_reduction_basis,
     embed_poly,
     format_terms,
     from_monomial,
+    is_variable_name,
     monomials_of_degree,
     parse_polynomial,
     substitute_poly,
@@ -77,13 +83,16 @@ class WeilPresentation:
             nilpotency = data["nilpotency"]
         except (KeyError, TypeError) as exc:
             raise ParseError(f"presentation record missing field: {exc}") from exc
-        if not all(isinstance(v, str) and v for v in variables):
-            raise ParseError("variables must be nonempty strings")
+        if not all(isinstance(v, str) and is_variable_name(v) for v in variables):
+            raise ParseError(
+                "variables must be names the relation grammar reads: "
+                "letters, digits and '_', not starting with a digit"
+            )
         if len(set(variables)) != len(variables):
             raise ParseError("variable names must be distinct")
         if not all(isinstance(r, str) for r in relations):
             raise ParseError("relations must be strings")
-        if not isinstance(nilpotency, int) or nilpotency < 1:
+        if type(nilpotency) is not int or nilpotency < 1:
             raise ParseError("nilpotency must be a positive integer")
         return WeilPresentation(variables, relations, nilpotency)
 
@@ -113,24 +122,23 @@ MAX_MONOMIALS = 1000
 def _built(names: Tuple[str, ...], relations: Tuple[Polynomial, ...], order: int):
     """Reduction rows, quotient basis, basis index, multiplication table,
     signature and hash of a validated presentation.  Raises ImproperIdeal
-    when the quotient is zero; failures are not kept in the table."""
+    when the quotient is zero; failures are not kept in the table.
+
+    The table maps the exponent tuple of every monomial below the order
+    to its normal form, read off the echelon rows: a basis monomial is
+    its own normal form, and a pivot is minus the rest of its row (each
+    row is monic in its pivot and holds no other pivot)."""
     nvars = len(names)
     reduction = build_reduction_basis(relations, nvars, order)
     basis = tuple(reduction.quotient_basis())
     basis_index = {m: i for i, m in enumerate(basis)}
     if unit_monomial(nvars) not in basis_index:
         raise ImproperIdeal("constant monomial not in quotient basis")
-    table: Dict[Tuple[Monomial, Monomial], Tuple[Tuple[Monomial, Fraction], ...]] = {}
-    for i, mi in enumerate(basis):
-        for mj in basis[i:]:
-            prod = mi.mul(mj)
-            if prod.degree >= order:
-                entry: Tuple[Tuple[Monomial, Fraction], ...] = ()
-            elif prod in basis_index:
-                entry = ((prod, Fraction(1)),)
-            else:
-                entry = tuple(reduction.normal_form(from_monomial(prod)).sorted_terms())
-            table[(mi, mj)] = entry
+    table: Dict[Exponents, Tuple[Tuple[Monomial, Fraction], ...]] = {
+        m.exponents: ((m, Fraction(1)),) for m in basis
+    }
+    for pivot, row in reduction.rows:
+        table[pivot.exponents] = tuple((m, -c) for m, c in row.sorted_terms() if m != pivot)
     rows_sig = tuple((pivot, tuple(row.sorted_terms())) for pivot, row in reduction.rows)
     sig = (names, order, rows_sig)
     return reduction, basis, basis_index, table, sig, hash(sig)
@@ -138,9 +146,10 @@ def _built(names: Tuple[str, ...], relations: Tuple[Polynomial, ...], order: int
 
 class WeilAlgebra:
     """Finite-dimensional local quotient with precomputed reduction data
-    and multiplication table.  Identity is structural: variable names,
-    nilpotency order, and the canonical echelon rows.  Algebras are
-    immutable; equal presentations share their built state."""
+    and the normal form of every monomial below the order.  Identity is
+    structural: variable names, nilpotency order, and the canonical
+    echelon rows.  Algebras are immutable; equal presentations share
+    their built state."""
 
     __slots__ = (
         "names",
@@ -204,9 +213,9 @@ class WeilAlgebra:
     # -- structure --------------------------------------------------------
     def basis_product(self, m1: Monomial, m2: Monomial) -> Tuple[Tuple[Monomial, Fraction], ...]:
         """Normal form of the product of two basis monomials, as
-        (basis monomial, rational coefficient) pairs."""
-        key = (m1, m2) if m1.key() <= m2.key() else (m2, m1)
-        return self._mul_table[key]
+        (basis monomial, rational coefficient) pairs in graded-lex
+        order; empty when the product has degree at least the order."""
+        return self._mul_table.get(tuple(map(add, m1.exponents, m2.exponents)), ())
 
     def ideal_generators(self) -> List[Polynomial]:
         """The presented relations together with the degree-k monomial

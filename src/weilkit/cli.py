@@ -25,17 +25,7 @@ from .algebras import (
     mk_weil_algebra,
     preset_algebra,
 )
-from .errors import (
-    AlgebraMismatch,
-    BasePointViolation,
-    ConfigError,
-    DegreeOverflow,
-    DomainError,
-    IdealViolation,
-    ImproperIdeal,
-    ParseError,
-    ScalarModeError,
-)
+from .errors import ConfigError, ParseError, WeilkitError
 from .expressions import parse_smooth_map
 from .lifting import equiv_mod, lift_with_fallback
 from .polynomials import Monomial
@@ -200,15 +190,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ParseError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (
-        ImproperIdeal,
-        BasePointViolation,
-        IdealViolation,
-        DomainError,
-        ScalarModeError,
-        DegreeOverflow,
-        AlgebraMismatch,
-    ) as exc:
+    except WeilkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

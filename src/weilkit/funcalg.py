@@ -850,7 +850,6 @@ def check_coproduct_currying(
         p, c1.base_arity, c2.base_arity, c1.weil, c2.weil, degree,
         rng=rng, samples=samples, label=label,
     )
-    iso_report.name = report.name
     report.merge(iso_report)
 
     # naturality: postcompose with a random polynomial map, then curry —

@@ -367,6 +367,16 @@ def embed_poly(poly: Polynomial, total_nvars: int, offset: int) -> Polynomial:
 # whitespace is insignificant).
 
 
+def _name_char(ch: str) -> bool:
+    return ch.isalnum() or ch == "_"
+
+
+def is_variable_name(text: str) -> bool:
+    """Whether the grammar reads ``text`` as one variable name: a
+    nonempty run of name characters that does not open with a digit."""
+    return bool(text) and not text[0].isdigit() and all(map(_name_char, text))
+
+
 def parse_polynomial(text: str, names: Sequence[str]) -> Polynomial:
     index = {name: i for i, name in enumerate(names)}
     nvars = len(names)
@@ -391,7 +401,7 @@ def parse_polynomial(text: str, names: Sequence[str]) -> Polynomial:
 
     def read_name(p: int) -> Tuple[str, int]:
         start = p
-        while p < n and (text[p].isalnum() or text[p] == "_"):
+        while p < n and _name_char(text[p]):
             p += 1
         if p == start:
             raise ParseError("expected variable name", start)

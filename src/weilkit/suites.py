@@ -455,7 +455,6 @@ def _suite_currying(config: SuiteConfig) -> SuiteReport:
             rng.randint(1, 2), n, m, inner, outer, degree, rng=rng, samples=3,
             label=label,
         )
-        sub.name = report.name
         report.merge(sub)
     return report
 

@@ -4,7 +4,9 @@ presentations (dimension counts, pivot enumerations, substitutions)
 before implementing the operations.
 """
 
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -44,7 +46,13 @@ from weilkit.errors import (
     ParseError,
     ScalarModeError,
 )
-from weilkit.polynomials import Monomial, from_monomial, parse_polynomial
+from weilkit.polynomials import (
+    Monomial,
+    from_monomial,
+    is_variable_name,
+    parse_polynomial,
+    variable,
+)
 
 
 def algebra(variables, relations, k):
@@ -159,6 +167,81 @@ def test_presets_all_build():
     for name in PRESETS:
         w = preset_algebra(name)
         assert w.dimension >= 1
+
+
+@pytest.mark.parametrize("nilpotency", [True, False, 2.0, 0, "2"])
+def test_nilpotency_must_be_a_positive_int(nilpotency):
+    with pytest.raises(ParseError, match="nilpotency must be a positive integer"):
+        WeilPresentation.from_dict({"variables": ["x"], "relations": [], "nilpotency": nilpotency})
+
+
+@pytest.mark.parametrize("name", ["x y", "2x", "x-y", "x^2", "", " x", "x*y"])
+def test_variable_names_the_grammar_cannot_read_are_rejected(name):
+    assert not is_variable_name(name)
+    with pytest.raises(ParseError, match="variables must be names the relation grammar reads"):
+        WeilPresentation.from_dict({"variables": [name], "relations": [], "nilpotency": 2})
+
+
+def _accepted_name_lists():
+    yield from (p.variables for p in PRESETS.values())
+    yield jet_algebra(3).names
+    yield tensor(D2, CUSP).names
+    yield from (samplers._var_names(n) for n in range(1, 5))
+    yield ("x_1", "y2", "_z", "θ")
+
+
+def test_accepted_names_read_back_as_their_own_variable():
+    for names in _accepted_name_lists():
+        assert WeilPresentation.from_dict(
+            {"variables": list(names), "relations": [], "nilpotency": 2}
+        ).variables == tuple(names)
+        for i, name in enumerate(names):
+            assert is_variable_name(name)
+            assert parse_polynomial(name, names) == variable(len(names), i)
+
+
+# ---------------------------------------------------------------------------
+# structure constants: normal forms read off the echelon rows
+
+
+def _structure_constant_algebras():
+    yield from (preset_algebra(name) for name in PRESETS)
+    yield CUSP
+    yield real_line_algebra()
+    yield from (jet_algebra(k) for k in range(2, 17))
+    yield tensor(DUAL, D2)
+    yield tensor(CUSP, jet_algebra(2))
+    yield tensor(jet_algebra(4), jet_algebra(3))
+    rng = random.Random(20240611)
+    for _ in range(200):
+        yield samplers.random_weil_algebra(rng, max_vars=3, max_order=5, max_dimension=40)
+    for _ in range(20):
+        yield tensor(samplers.random_weil_algebra(rng), samplers.random_weil_algebra(rng))
+
+
+def test_basis_product_is_the_normal_form_of_the_product():
+    count = 0
+    for w in _structure_constant_algebras():
+        # one entry per monomial below the order, and none above it
+        assert len(w._mul_table) == math.comb(w.nvars + w.order - 1, w.nvars)
+        for m1 in w.basis:
+            for m2 in w.basis:
+                expected = w.reduction.normal_form(from_monomial(m1.mul(m2))).sorted_terms()
+                assert list(w.basis_product(m1, m2)) == expected, (w, m1, m2)
+                count += 1
+    assert count > 20000
+
+
+def test_large_relation_free_basis_builds_fast():
+    # dimension 990 near the presentation cap, built by no other test
+    started = time.monotonic()
+    w = algebra(("x", "y"), (), 44)
+    assert time.monotonic() - started < 1.0
+    assert w.dimension == 990
+    assert w.basis_product(Monomial((20, 4)), Monomial((1, 19))) == ()  # degree 44
+    assert w.basis_product(Monomial((20, 3)), Monomial((1, 19))) == (
+        (Monomial((21, 22)), Fraction(1)),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,9 @@ from unittest import mock
 
 import pytest
 
+from weilkit import cli
 from weilkit.cli import main
-from weilkit.errors import ConfigError
+from weilkit.errors import ConfigError, WeilkitError
 from weilkit.funcalg import DomainMorphism, probe_functoriality, wpoly_zero
 from weilkit.lifting import Euclidean
 from weilkit.reports import Report, SuiteReport, render_report
@@ -256,6 +257,34 @@ class TestCliCheck:
         err = capsys.readouterr().err
         assert err.startswith("error: presentation spans 100000 monomials")
         assert len(err.splitlines()) == 1
+
+    def test_boolean_nilpotency_exits_2(self, tmp_path, capsys):
+        f = tmp_path / "bool.json"
+        write_presentation(f, ["x"], ["x^2"], True)
+        assert main(["check", str(f)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: nilpotency must be a positive integer\n"
+
+    @pytest.mark.parametrize("name", ["x y", "2x", "x-y"])
+    def test_unreadable_variable_name_exits_2(self, name, tmp_path, capsys):
+        f = tmp_path / "names.json"
+        write_presentation(f, [name], [], 2)
+        assert main(["check", str(f)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: variables must be names the relation grammar reads")
+        assert len(captured.err.splitlines()) == 1
+
+    def test_any_other_weilkit_error_exits_3(self, monkeypatch, capsys):
+        def fail(args):
+            raise WeilkitError("no such thing")
+
+        monkeypatch.setattr(cli, "cmd_check", fail)
+        assert main(["check", "unused.json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: no such thing\n"
 
     def test_console_module_entry(self):
         proc = subprocess.run(
