@@ -10,9 +10,16 @@ normal forms of the monomials of degree < k, which the echelon rows
 already hold; a product of two basis monomials adds exponents and looks
 the sum up among them.
 
-Elements store coordinates on that basis.  Each element is uniformly in
-one of two scalar modes — exact ``Fraction`` or double-precision float —
-and the two are never mixed inside one element or one operation.
+Elements store one coordinate per basis position.  Each element is
+uniformly in one of two scalar modes, exact or double-precision float,
+and the two are never mixed inside one element or one operation.  A real
+element is a list of floats; an exact one is a list of integer
+numerators over one positive common denominator, in lowest terms overall
+so that equality is a list compare.  Products read integer structure
+constants over one table denominator, or their float copies in real
+mode, keyed by a per-position integer code whose sum is the code of the
+product.  ``WeilElement.coords`` is a read-only {monomial: Fraction or
+float} view, built once per element and cached.
 
 Morphisms are represented by their polynomial substitution data
 (``psibar``): one polynomial per *source* variable, written in the
@@ -27,12 +34,14 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
-from operator import add
+from operator import add, mul
 from pathlib import Path
-from typing import Dict, List, Sequence, Tuple, Union
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 from .errors import (
     AlgebraMismatch,
@@ -78,11 +87,16 @@ class WeilPresentation:
     @staticmethod
     def from_dict(data: dict) -> "WeilPresentation":
         try:
-            variables = tuple(data["variables"])
-            relations = tuple(data["relations"])
+            variables = data["variables"]
+            relations = data["relations"]
             nilpotency = data["nilpotency"]
         except (KeyError, TypeError) as exc:
             raise ParseError(f"presentation record missing field: {exc}") from exc
+        # a JSON string is iterable too and would split into characters
+        for field, value in (("variables", variables), ("relations", relations)):
+            if not isinstance(value, (list, tuple)):
+                raise ParseError(f"{field} must be a list")
+        variables, relations = tuple(variables), tuple(relations)
         if not all(isinstance(v, str) and is_variable_name(v) for v in variables):
             raise ParseError(
                 "variables must be names the relation grammar reads: "
@@ -121,8 +135,9 @@ MAX_MONOMIALS = 1000
 @lru_cache(maxsize=INTERN_CAPACITY)
 def _built(names: Tuple[str, ...], relations: Tuple[Polynomial, ...], order: int):
     """Reduction rows, quotient basis, basis index, multiplication table,
-    signature and hash of a validated presentation.  Raises ImproperIdeal
-    when the quotient is zero; failures are not kept in the table.
+    the element kernel's tables, signature and hash of a validated
+    presentation.  Raises ImproperIdeal when the quotient is zero;
+    failures are not kept in the table.
 
     The table maps the exponent tuple of every monomial below the order
     to its normal form, read off the echelon rows: a basis monomial is
@@ -141,7 +156,40 @@ def _built(names: Tuple[str, ...], relations: Tuple[Polynomial, ...], order: int
         table[pivot.exponents] = tuple((m, -c) for m, c in row.sorted_terms() if m != pivot)
     rows_sig = tuple((pivot, tuple(row.sorted_terms())) for pivot, row in reduction.rows)
     sig = (names, order, rows_sig)
-    return reduction, basis, basis_index, table, sig, hash(sig)
+    kernel = _kernel_tables(basis, basis_index, table, order)
+    return reduction, basis, basis_index, table, kernel, sig, hash(sig)
+
+
+def _kernel_tables(basis: Tuple[Monomial, ...], index: Dict[Monomial, int], table, order: int):
+    """What element products read, keyed by basis position.
+
+    A monomial's code is its exponent tuple read as digits in radix
+    2*order - 1.  Exponents of a product of two basis monomials stay
+    below that radix, so the code of the product is the sum of the
+    codes.  ``reach[i]`` counts the basis positions whose degree plus
+    that of position i is below the order (the basis is graded, so they
+    are a prefix); every other pair multiplies to zero.  The exact table
+    holds integer structure constants over one table denominator, the
+    real table their float copies (infinite where a constant is beyond
+    float range, so a real product that uses it is a DomainError)."""
+    weights = [(2 * order - 1) ** v for v in range(len(basis[0].exponents))]
+    degrees = [m.degree for m in basis]
+    codes = tuple(sum(map(mul, m.exponents, weights)) for m in basis)
+    reach = tuple(bisect_left(degrees, order - d) for d in degrees)
+    den = math.lcm(*(c.denominator for entries in table.values() for _, c in entries))
+    exact, real = {}, {}
+    for exponents, entries in table.items():
+        code = sum(map(mul, exponents, weights))
+        exact[code] = tuple((index[m], c.numerator * (den // c.denominator)) for m, c in entries)
+        real[code] = tuple((index[m], _float_constant(c)) for m, c in entries)
+    return codes, reach, exact, den, real
+
+
+def _float_constant(c: Fraction) -> float:
+    try:
+        return float(c)
+    except OverflowError:
+        return math.inf if c > 0 else -math.inf
 
 
 class WeilAlgebra:
@@ -161,6 +209,7 @@ class WeilAlgebra:
         "basis_index",
         "dimension",
         "_mul_table",
+        "_kernel",
         "_sig",
         "_hash",
     )
@@ -192,6 +241,7 @@ class WeilAlgebra:
             self.basis,
             self.basis_index,
             self._mul_table,
+            self._kernel,
             self._sig,
             self._hash,
         ) = _built(self.names, self.relations, order)
@@ -230,24 +280,41 @@ class WeilAlgebra:
         if mode == RATIONAL:
             if isinstance(value, float):
                 raise ScalarModeError("float scalar in rational mode")
-            return Fraction(value)
+            # exact assembly reads only the numerator and denominator
+            return value if type(value) in (int, Fraction) else Fraction(value)
         try:
             return float(value)
         except OverflowError:
             raise DomainError("a real-mode scalar is out of float range") from None
 
+    def _assemble(self, entries, mode: str) -> "WeilElement":
+        """The element with the given (basis position, coerced scalar)
+        entries; exact scalars go over the least common denominator of
+        their own, which keeps the vector in lowest terms."""
+        if mode == RATIONAL:
+            den = math.lcm(*(c.denominator for _, c in entries))
+            vec = [0] * self.dimension
+            for i, c in entries:
+                vec[i] = c.numerator * (den // c.denominator)
+            return WeilElement(self, vec, RATIONAL, den)
+        if mode != REAL:
+            raise ValueError(f"unknown scalar mode {mode!r}")
+        vec = [0.0] * self.dimension
+        for i, c in entries:
+            vec[i] = c
+        return _real(self, vec)
+
     def element(self, coords: Dict[Monomial, Scalar], mode: str = RATIONAL) -> "WeilElement":
-        clean: Dict[Monomial, Scalar] = {}
+        index = self.basis_index
+        entries = []
         for mono, c in coords.items():
-            if mono not in self.basis_index:
+            if mono not in index:
                 raise ValueError(f"{mono} is not a quotient-basis monomial")
-            cc = self._coerce(c, mode)
-            if cc != 0:
-                clean[mono] = cc
-        return WeilElement(self, clean, mode)
+            entries.append((index[mono], self._coerce(c, mode)))
+        return self._assemble(entries, mode)
 
     def zero(self, mode: str = RATIONAL) -> "WeilElement":
-        return WeilElement(self, {}, mode)
+        return self._assemble((), mode)
 
     def one(self, mode: str = RATIONAL) -> "WeilElement":
         return self.const(1, mode)
@@ -255,14 +322,16 @@ class WeilAlgebra:
     def const(self, value: Scalar, mode: str | None = None) -> "WeilElement":
         if mode is None:
             mode = REAL if isinstance(value, float) else RATIONAL
-        v = self._coerce(value, mode)
-        coords = {} if v == 0 else {unit_monomial(self.nvars): v}
-        return WeilElement(self, coords, mode)
+        # the unit monomial is basis position 0: the basis is graded
+        return self._assemble(((0, self._coerce(value, mode)),), mode)
 
     def from_polynomial(self, poly: Polynomial, mode: str = RATIONAL) -> "WeilElement":
         """Reduce an exact polynomial representative to its element."""
         nf = self.reduction.normal_form(poly)
-        return WeilElement(self, {m: self._coerce(c, mode) for m, c in nf.terms.items()}, mode)
+        index = self.basis_index
+        return self._assemble(
+            [(index[m], self._coerce(c, mode)) for m, c in nf.terms.items()], mode
+        )
 
     def var_element(self, index: int, mode: str = RATIONAL) -> "WeilElement":
         """The class of the i-th presentation variable."""
@@ -279,19 +348,54 @@ class WeilAlgebra:
         return tuple(self.var_element(i, mode) for i in range(self.nvars))
 
 
+def _real(algebra: WeilAlgebra, vec: List[float]) -> "WeilElement":
+    if not all(map(math.isfinite, vec)):
+        raise DomainError("a real-mode coordinate is out of float range")
+    return WeilElement(algebra, vec, REAL)
+
+
+def _exact(algebra: WeilAlgebra, nums: List[int], den: int) -> "WeilElement":
+    g = math.gcd(den, *nums)
+    if g != 1:
+        nums = [n // g for n in nums]
+        den //= g
+    return WeilElement(algebra, nums, RATIONAL, den)
+
+
 class WeilElement:
-    """Coordinates on the quotient basis, in a single scalar mode."""
+    """Coordinates by basis position, in a single scalar mode.
 
-    __slots__ = ("algebra", "coords", "mode")
+    A real element holds one float per basis position.  An exact one
+    holds integer numerators over one positive common denominator, in
+    lowest terms overall (the gcd of the numerators and the denominator
+    is 1, and zero is all zeros over 1), so two exact elements are equal
+    exactly when their vectors and denominators are.  ``coords`` is a
+    read-only {basis monomial: Fraction or float} view of the nonzero
+    coordinates in basis order, built on first use and cached."""
 
-    def __init__(self, algebra: WeilAlgebra, coords: Dict[Monomial, Scalar], mode: str):
-        if mode not in (RATIONAL, REAL):
-            raise ValueError(f"unknown scalar mode {mode!r}")
+    __slots__ = ("algebra", "mode", "_v", "_den", "_view")
+
+    def __init__(self, algebra: WeilAlgebra, vec: list, mode: str, den: int = 1):
+        # kernel-internal: vec is one coordinate per basis position, in
+        # the form the class docstring states; the algebra's element
+        # constructors are the public way in
         self.algebra = algebra
-        self.coords = {m: c for m, c in sorted(coords.items(), key=lambda kv: kv[0].key()) if c != 0}
         self.mode = mode
-        if mode == REAL and not all(map(math.isfinite, self.coords.values())):
-            raise DomainError("a real-mode coordinate is out of float range")
+        self._v = vec
+        self._den = den
+        self._view = None
+
+    @property
+    def coords(self) -> Mapping[Monomial, Scalar]:
+        if self._view is None:
+            basis = self.algebra.basis
+            if self.mode == REAL:
+                terms = {basis[i]: c for i, c in enumerate(self._v) if c}
+            else:
+                den = self._den
+                terms = {basis[i]: Fraction(n, den) for i, n in enumerate(self._v) if n}
+            self._view = MappingProxyType(terms)
+        return self._view
 
     # -- plumbing -----------------------------------------------------------
     def _match(self, other: "WeilElement") -> None:
@@ -300,19 +404,17 @@ class WeilElement:
         if self.mode != other.mode:
             raise ScalarModeError(f"mixed scalar modes {self.mode}/{other.mode}")
 
-    def _zero_scalar(self) -> Scalar:
-        return Fraction(0) if self.mode == RATIONAL else 0.0
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, WeilElement)
             and self.mode == other.mode
             and self.algebra == other.algebra
-            and self.coords == other.coords
+            and self._den == other._den
+            and self._v == other._v
         )
 
     def __hash__(self) -> int:
-        return hash((self.algebra, self.mode, tuple(self.coords.items())))
+        return hash((self.algebra, self.mode, self._den, tuple(self._v)))
 
     def __repr__(self) -> str:
         return f"<{self.format()} in {self.algebra!r}>"
@@ -321,31 +423,35 @@ class WeilElement:
         return format_terms(self.coords.items(), self.algebra.names)
 
     def is_zero(self) -> bool:
-        return not self.coords
+        return not any(self._v)
 
     # -- linear structure ----------------------------------------------------
     def add(self, other: "WeilElement") -> "WeilElement":
         self._match(other)
-        acc = dict(self.coords)
-        for mono, c in other.coords.items():
-            s = acc.get(mono, self._zero_scalar()) + c
-            if s != 0:
-                acc[mono] = s
-            else:
-                acc.pop(mono, None)
-        return WeilElement(self.algebra, acc, self.mode)
+        if self.mode == REAL:
+            return _real(self.algebra, list(map(add, self._v, other._v)))
+        da, db = self._den, other._den
+        if da == db:
+            return _exact(self.algebra, list(map(add, self._v, other._v)), da)
+        g = math.gcd(da, db)
+        fa, fb = db // g, da // g
+        nums = [x * fa + y * fb for x, y in zip(self._v, other._v)]
+        return _exact(self.algebra, nums, da * fa)
 
     def neg(self) -> "WeilElement":
-        return WeilElement(self.algebra, {m: -c for m, c in self.coords.items()}, self.mode)
+        return WeilElement(self.algebra, [-c for c in self._v], self.mode, self._den)
 
     def sub(self, other: "WeilElement") -> "WeilElement":
         return self.add(other.neg())
 
     def scale(self, factor: Scalar) -> "WeilElement":
         f = self.algebra._coerce(factor, self.mode)
-        if f == 0:
+        if f == 0 or self.is_zero():
             return self.algebra.zero(self.mode)
-        return WeilElement(self.algebra, {m: c * f for m, c in self.coords.items()}, self.mode)
+        if self.mode == REAL:
+            return _real(self.algebra, [c * f for c in self._v])
+        p = f.numerator
+        return _exact(self.algebra, [n * p for n in self._v], self._den * f.denominator)
 
     __add__ = add
     __sub__ = sub
@@ -355,20 +461,30 @@ class WeilElement:
 
     # -- multiplicative structure ----------------------------------------------
     def mul(self, other: "WeilElement") -> "WeilElement":
+        """Each pair of nonzero coordinates, in basis order, adds its
+        product times the structure constants of the pair into the
+        accumulator; a real product therefore rounds exactly as the
+        graded-lex pair loop over the basis does."""
         self._match(other)
-        table = self.algebra.basis_product
-        acc: Dict[Monomial, Scalar] = {}
-        zero = self._zero_scalar()
-        for m1, c1 in self.coords.items():
-            for m2, c2 in other.coords.items():
+        algebra = self.algebra
+        codes, reach, exact_table, table_den, real_table = algebra._kernel
+        real = self.mode == REAL
+        table = real_table if real else exact_table
+        acc = [0.0 if real else 0] * algebra.dimension
+        right = [(j, codes[j], c) for j, c in enumerate(other._v) if c]
+        for i, c1 in enumerate(self._v):
+            if not c1:
+                continue
+            code, bound = codes[i], reach[i]
+            for j, cj, c2 in right:
+                if j >= bound:
+                    break
                 c = c1 * c2
-                for mono, f in table(m1, m2):
-                    s = acc.get(mono, zero) + c * f
-                    if s != 0:
-                        acc[mono] = s
-                    else:
-                        acc.pop(mono, None)
-        return WeilElement(self.algebra, acc, self.mode)
+                for k, f in table[code + cj]:
+                    acc[k] += c * f
+        if real:
+            return _real(algebra, acc)
+        return _exact(algebra, acc, self._den * other._den * table_den)
 
     __mul__ = mul
 
@@ -377,10 +493,14 @@ class WeilElement:
         return times_power(self.algebra.one(self.mode), base, abs(exponent))
 
     def augmentation(self) -> Scalar:
-        return self.coords.get(unit_monomial(self.algebra.nvars), self._zero_scalar())
+        if self.mode == REAL:
+            return self._v[0] + 0.0  # a zero coordinate reads as +0.0
+        return Fraction(self._v[0], self._den)
 
     def nilpotent_part(self) -> "WeilElement":
-        return self.sub(self.algebra.const(self.augmentation(), self.mode))
+        if self.mode == REAL:
+            return WeilElement(self.algebra, [0.0, *self._v[1:]], REAL)
+        return _exact(self.algebra, [0, *self._v[1:]], self._den)
 
     def inverse(self) -> "WeilElement":
         """Multiplicative inverse via the finite geometric series; the
@@ -394,7 +514,7 @@ class WeilElement:
         term = self.algebra.one(self.mode)
         for _ in range(1, self.algebra.order):
             term = term.mul(u)
-            if not term.coords:
+            if term.is_zero():
                 break
             acc = acc.add(term)
         return acc.scale(inv_a0)
@@ -402,8 +522,17 @@ class WeilElement:
     def to_real(self) -> "WeilElement":
         if self.mode == REAL:
             return self
-        coerce = self.algebra._coerce
-        return WeilElement(self.algebra, {m: coerce(c, REAL) for m, c in self.coords.items()}, REAL)
+        return WeilElement(self.algebra, self._floats(), REAL)
+
+    def _floats(self) -> List[float]:
+        """The coordinates as floats; an exact one is rounded once."""
+        if self.mode == REAL:
+            return self._v
+        den = self._den
+        try:
+            return [n / den for n in self._v]
+        except OverflowError:
+            raise DomainError("a real-mode scalar is out of float range") from None
 
     def as_polynomial(self) -> Polynomial:
         """Canonical polynomial representative (rational mode only)."""
@@ -497,13 +626,9 @@ def elements_close(a: WeilElement, b: WeilElement, rel: float = 1e-9, abs_tol: f
     """Tolerant coordinatewise comparison (modes may differ)."""
     if a.algebra != b.algebra:
         raise AlgebraMismatch("elements of different algebras")
-    zero = 0.0
-    for mono in set(a.coords) | set(b.coords):
-        if not scalars_close(
-            a.coords.get(mono, zero), b.coords.get(mono, zero), rel, abs_tol
-        ):
-            return False
-    return True
+    return all(
+        scalars_close(x, y, rel, abs_tol) for x, y in zip(a._floats(), b._floats())
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +680,7 @@ class WeilMorphism:
     """Algebra map represented by substitution data psibar: one target
     polynomial per source variable."""
 
-    __slots__ = ("source", "target", "psibar", "_action")
+    __slots__ = ("source", "target", "psibar", "_basis_images")
 
     def __init__(self, source: WeilAlgebra, target: WeilAlgebra, psibar: Sequence[Polynomial]):
         self.source = source
@@ -580,22 +705,33 @@ class WeilMorphism:
                 raise IdealViolation(
                     f"generator {gen.format(source.names)} does not map into the target ideal"
                 )
-        self._action: Dict[Monomial, WeilElement] = {
-            mono: substitute_poly(from_monomial(mono), images, target.const)
-            for mono in source.basis
-        }
+        # the image of each source basis monomial, by basis position
+        self._basis_images = [
+            substitute_poly(from_monomial(mono), images, target.const) for mono in source.basis
+        ]
 
     def apply(self, element: WeilElement) -> WeilElement:
+        """The sum of the basis images weighted by the coordinates, in
+        basis order; a real element uses the images rounded to floats."""
         if element.algebra != self.source:
             raise AlgebraMismatch("element does not belong to the morphism's source")
-        mode = element.mode
-        acc = self.target.zero(mode)
-        for mono, c in element.coords.items():
-            image = self._action[mono]
-            if mode == REAL:
-                image = image.to_real()
-            acc = acc.add(image.scale(c))
-        return acc
+        target = self.target
+        images = [(c, image) for c, image in zip(element._v, self._basis_images) if c]
+        if element.mode == REAL:
+            acc = [0.0] * target.dimension
+            for c, image in images:
+                for k, x in enumerate(image._floats()):
+                    if x:
+                        acc[k] += x * c
+            return _real(target, acc)
+        den = math.lcm(*(image._den for _, image in images))
+        acc = [0] * target.dimension
+        for c, image in images:
+            weight = c * (den // image._den)
+            for k, x in enumerate(image._v):
+                if x:
+                    acc[k] += x * weight
+        return _exact(target, acc, den * element._den)
 
     def compose(self, then: "WeilMorphism") -> "WeilMorphism":
         """The composite algebra map self.source -> then.target
@@ -612,7 +748,7 @@ class WeilMorphism:
         for every quotient-basis element."""
         if self.source != other.source or self.target != other.target:
             return False
-        return all(self._action[m] == other._action[m] for m in self.source.basis)
+        return self._basis_images == other._basis_images
 
     def __eq__(self, other: object) -> bool:
         """Representative-level equality of the substitution data."""
@@ -713,12 +849,20 @@ def tensor_pair(
         raise ScalarModeError("mixed scalar modes in tensor_pair")
     if t is None:
         t = tensor(w1, w2)
-    coords = {
-        Monomial(m1.exponents + m2.exponents): c1 * c2
-        for m1, c1 in a.coords.items()
-        for m2, c2 in b.coords.items()
-    }
-    return t.element(coords, a.mode)
+    index = t.basis_index
+    vec = [0.0 if a.mode == REAL else 0] * t.dimension
+    for m1, c1 in zip(w1.basis, a._v):
+        if not c1:
+            continue
+        for m2, c2 in zip(w2.basis, b._v):
+            if c2:
+                mono = Monomial(m1.exponents + m2.exponents)
+                if mono not in index:
+                    raise ValueError(f"{mono} is not a quotient-basis monomial")
+                vec[index[mono]] = c1 * c2
+    if a.mode == REAL:
+        return _real(t, vec)
+    return _exact(t, vec, a._den * b._den)
 
 
 def tensor_morphism(

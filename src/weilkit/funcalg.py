@@ -74,7 +74,7 @@ class WeilPoly(RingCoords):
                 raise AlgebraMismatch("coefficient outside the coefficient algebra")
             if coeff.mode != RATIONAL:
                 raise AlgebraMismatch("carrier coefficients must be exact")
-            if coeff.coords:
+            if not coeff.is_zero():
                 clean[mono] = coeff
         self.terms = clean
 
@@ -715,7 +715,7 @@ def random_domain_morphism(
         candidate = []
         for _ in range(source.weil.nvars):
             nil = random_element(rng, target.weil, max_terms=2, base_point=True)
-            if not nil.coords:
+            if nil.is_zero():
                 nil = target.weil.var_element(0) if target.weil.nvars else target.weil.zero()
             poly_factor = (
                 random_polynomial(rng, n, base_degree, max_terms=2)

@@ -495,7 +495,7 @@ class NestedElement(RingCoords):
         self.terms = {
             m: c
             for m, c in sorted(coords.items(), key=lambda kv: kv[0].key())
-            if c.coords
+            if not c.is_zero()
         }
         self.mode = mode
         for m, c in self.terms.items():
@@ -765,7 +765,7 @@ def check_product_preservation(
             g_poly = rng.choice(algebra.ideal_generators())
             multiplier = random_element(rng, algebra, max_terms=2)
             perturb_expr = polynomial_to_expr(g_poly)
-            if multiplier.coords:
+            if not multiplier.is_zero():
                 perturb_expr = Mul(
                     polynomial_to_expr(multiplier.as_polynomial()), perturb_expr
                 )

@@ -266,6 +266,23 @@ class TestCliCheck:
         assert captured.out == ""
         assert captured.err == "error: nilpotency must be a positive integer\n"
 
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"variables": "xy", "relations": ["x"], "nilpotency": 3},
+            {"variables": ["x", "y"], "relations": "x", "nilpotency": 3},
+        ],
+        ids=["variables", "relations"],
+    )
+    def test_string_instead_of_list_exits_2(self, record, tmp_path, capsys):
+        f = tmp_path / "string.json"
+        f.write_text(json.dumps(record))
+        assert main(["check", str(f)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        field = "variables" if isinstance(record["variables"], str) else "relations"
+        assert captured.err == f"error: {field} must be a list\n"
+
     @pytest.mark.parametrize("name", ["x y", "2x", "x-y"])
     def test_unreadable_variable_name_exits_2(self, name, tmp_path, capsys):
         f = tmp_path / "names.json"
@@ -294,6 +311,15 @@ class TestCliCheck:
             text=True,
         )
         assert proc.returncode == 0
+        assert "dimension 7" in proc.stdout
+
+    def test_package_module_entry(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "weilkit", "check", str(REPO / "configs" / "cusp.json")],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
         assert "dimension 7" in proc.stdout
 
 
