@@ -8,7 +8,9 @@ quotient is finite dimensional with the non-pivot monomials of total
 degree < k as its canonical basis.  The structure constants are the
 normal forms of the monomials of degree < k, which the echelon rows
 already hold; a product of two basis monomials adds exponents and looks
-the sum up among them.
+the sum up among them.  A tensor product is never echelonized: its rows
+are written down from its factors' normal forms, and its coordinates
+move to and from pairs of factor coordinates by basis position.
 
 Elements store one coordinate per basis position.  Each element is
 uniformly in one of two scalar modes, exact or double-precision float,
@@ -56,11 +58,13 @@ from .polynomials import (
     Exponents,
     Monomial,
     Polynomial,
+    ReductionBasis,
     build_reduction_basis,
     embed_poly,
     format_terms,
     from_monomial,
     is_variable_name,
+    monomials_below_degree,
     monomials_of_degree,
     parse_polynomial,
     substitute_poly,
@@ -132,32 +136,96 @@ INTERN_CAPACITY = 256
 MAX_MONOMIALS = 1000
 
 
+def _check_span(nvars: int, order: int) -> None:
+    size = math.comb(nvars + order - 1, nvars)
+    if size > MAX_MONOMIALS:
+        raise ParseError(
+            f"presentation spans {size} monomials below degree {order}; "
+            f"at most {MAX_MONOMIALS} are allowed"
+        )
+
+
+class _TensorRelations(tuple):
+    """The relation tuple of a tensor product: the embedded generators of
+    both factors.  It equals and hashes as the plain tuple of the same
+    polynomials, so an algebra presented with either shares one intern
+    entry; it also carries the two factors, from whose normal forms
+    ``_built`` writes down the tensor's instead of echelonizing."""
+
+    def __new__(cls, generators, factors: Tuple["WeilAlgebra", "WeilAlgebra"]):
+        relations = super().__new__(cls, generators)
+        relations.factors = factors
+        return relations
+
+
 @lru_cache(maxsize=INTERN_CAPACITY)
 def _built(names: Tuple[str, ...], relations: Tuple[Polynomial, ...], order: int):
     """Reduction rows, quotient basis, basis index, multiplication table,
-    the element kernel's tables, signature and hash of a validated
-    presentation.  Raises ImproperIdeal when the quotient is zero;
-    failures are not kept in the table.
+    the element kernel's tables, signature, hash and two empty memo
+    tables of a presentation.  Raises on an invalid relation, and
+    ImproperIdeal when the quotient is zero; failures are not kept in
+    the table.
 
     The table maps the exponent tuple of every monomial below the order
     to its normal form, read off the echelon rows: a basis monomial is
     its own normal form, and a pivot is minus the rest of its row (each
-    row is monic in its pivot and holds no other pivot)."""
+    row is monic in its pivot and holds no other pivot).  The rows of a
+    tensor product come from its factors' tables (see ``tensor``)."""
     nvars = len(names)
-    reduction = build_reduction_basis(relations, nvars, order)
-    basis = tuple(reduction.quotient_basis())
+    for rel in relations:
+        if rel.nvars != nvars:
+            raise ValueError("relation arity mismatch")
+        if rel.constant_term() != 0:
+            raise ImproperIdeal(f"relation {rel.format(names)} has nonzero constant term")
+    if isinstance(relations, _TensorRelations):
+        reduction, basis, table = _tensor_rows(*relations.factors)
+    else:
+        reduction = build_reduction_basis(relations, nvars, order)
+        basis = tuple(reduction.quotient_basis())
+        table = {m.exponents: ((m, Fraction(1)),) for m in basis}
+        for pivot, row in reduction.rows:
+            table[pivot.exponents] = tuple((m, -c) for m, c in row.sorted_terms() if m != pivot)
     basis_index = {m: i for i, m in enumerate(basis)}
     if unit_monomial(nvars) not in basis_index:
         raise ImproperIdeal("constant monomial not in quotient basis")
-    table: Dict[Exponents, Tuple[Tuple[Monomial, Fraction], ...]] = {
-        m.exponents: ((m, Fraction(1)),) for m in basis
-    }
-    for pivot, row in reduction.rows:
-        table[pivot.exponents] = tuple((m, -c) for m, c in row.sorted_terms() if m != pivot)
     rows_sig = tuple((pivot, tuple(row.sorted_terms())) for pivot, row in reduction.rows)
     sig = (names, order, rows_sig)
     kernel = _kernel_tables(basis, basis_index, table, order)
-    return reduction, basis, basis_index, table, kernel, sig, hash(sig)
+    return reduction, basis, basis_index, table, kernel, sig, hash(sig), {}, {}
+
+
+def _tensor_rows(w1: "WeilAlgebra", w2: "WeilAlgebra"):
+    """Reduction rows, basis and normal-form table of tensor(w1, w2),
+    written down from the factors' normal forms (see ``tensor``)."""
+    nvars, order, split = w1.nvars + w2.nvars, w1.order + w2.order - 1, w1.nvars
+    nf1, nf2 = w1._mul_table, w2._mul_table
+    basis1, basis2 = ({m.exponents for m in w.basis} for w in (w1, w2))
+    monomials = monomials_below_degree(nvars, order)
+    basis = tuple(
+        m for m in monomials if m.exponents[:split] in basis1 and m.exponents[split:] in basis2
+    )
+    index = {m.exponents: (i, m) for i, m in enumerate(basis)}
+    table: Dict[Exponents, Tuple[Tuple[Monomial, Fraction], ...]] = {}
+    rows = []
+    one = Fraction(1)
+    for mono in monomials:
+        exponents = mono.exponents
+        if exponents in index:
+            table[exponents] = ((mono, one),)
+            continue
+        # NF(x^a * y^b) = NF1(x^a) * NF2(y^b); a factor at or above its
+        # own order has normal form 0, so is missing from its table
+        terms = sorted(
+            (index[m1.exponents + m2.exponents], c1 * c2)
+            for m1, c1 in nf1.get(exponents[:split], ())
+            for m2, c2 in nf2.get(exponents[split:], ())
+        )
+        table[exponents] = tuple((m, c) for (_, m), c in terms)
+        row = {mono: one}
+        for (_, m), c in terms:
+            row[m] = -c
+        rows.append((mono, Polynomial(nvars, row)))
+    return ReductionBasis(nvars, order, rows), basis, table
 
 
 def _kernel_tables(basis: Tuple[Monomial, ...], index: Dict[Monomial, int], table, order: int):
@@ -187,7 +255,7 @@ def _kernel_tables(basis: Tuple[Monomial, ...], index: Dict[Monomial, int], tabl
 
 def _float_constant(c: Fraction) -> float:
     try:
-        return float(c)
+        return c.numerator / c.denominator  # what float(c) computes, without its dispatch
     except OverflowError:
         return math.inf if c > 0 else -math.inf
 
@@ -212,6 +280,8 @@ class WeilAlgebra:
         "_kernel",
         "_sig",
         "_hash",
+        "_embedded",
+        "_splits",
     )
 
     def __init__(self, names: Sequence[str], relations: Sequence[Polynomial], order: int):
@@ -219,23 +289,13 @@ class WeilAlgebra:
             raise ValueError("variable names must be distinct")
         if order < 1:
             raise ValueError("nilpotency order must be >= 1")
-        size = math.comb(len(names) + order - 1, len(names))
-        if size > MAX_MONOMIALS:
-            raise ParseError(
-                f"presentation spans {size} monomials below degree {order}; "
-                f"at most {MAX_MONOMIALS} are allowed"
-            )
+        _check_span(len(names), order)
         self.names = tuple(names)
         self.nvars = len(self.names)
         self.order = order
-        self.relations = tuple(relations)
-        for rel in self.relations:
-            if rel.nvars != self.nvars:
-                raise ValueError("relation arity mismatch")
-            if rel.constant_term() != 0:
-                raise ImproperIdeal(
-                    f"relation {rel.format(self.names)} has nonzero constant term"
-                )
+        # a _TensorRelations tuple is kept as it is: it is how _built
+        # learns the factors
+        self.relations = relations if isinstance(relations, tuple) else tuple(relations)
         (
             self.reduction,
             self.basis,
@@ -244,6 +304,8 @@ class WeilAlgebra:
             self._kernel,
             self._sig,
             self._hash,
+            self._embedded,
+            self._splits,
         ) = _built(self.names, self.relations, order)
         self.dimension = len(self.basis)
 
@@ -270,9 +332,21 @@ class WeilAlgebra:
     def ideal_generators(self) -> List[Polynomial]:
         """The presented relations together with the degree-k monomial
         witnesses of m^k — a full generator set of the ideal."""
-        gens = list(self.relations)
-        for mono in monomials_of_degree(self.nvars, self.order):
-            gens.append(from_monomial(mono))
+        return list(self._embedded_generators(self.nvars, 0))
+
+    def _embedded_generators(self, total: int, offset: int) -> Tuple[Polynomial, ...]:
+        """The ideal generators re-indexed into ``total`` variables from
+        ``offset`` on (at ``(nvars, 0)``, the generators themselves).  They
+        are kept with the built state, so repeated morphism checks and
+        tensor products reuse the same polynomials and their hashes."""
+        gens = self._embedded.get((total, offset))
+        if gens is None:
+            if (total, offset) == (self.nvars, 0):
+                witnesses = monomials_of_degree(self.nvars, self.order)
+                gens = (*self.relations, *map(from_monomial, witnesses))
+            else:
+                gens = tuple(embed_poly(g, total, offset) for g in self.ideal_generators())
+            self._embedded[total, offset] = gens
         return gens
 
     # -- element constructors ----------------------------------------------
@@ -808,23 +882,112 @@ def tensor(w1: WeilAlgebra, w2: WeilAlgebra) -> WeilAlgebra:
     The relation list carries each factor's full ideal generator set —
     presented relations plus that factor's degree-k monomial witnesses —
     so the construction is the algebra tensor product on the nose and
-    the dimension law dim(T) = dim(W1) * dim(W2) holds.
+    the dimension law dim(T) = dim(W1) * dim(W2) holds (Kolář, Michor &
+    Slovák, Natural Operations in Differential Geometry, 1993, §35).
+
+    The built state is written down from the factors' normal forms, with
+    no echelon, and equals what echelonizing this presentation gives.
+    Write a monomial below the order as x^a * y^b.  If x^a and y^b are
+    basis monomials of their factors, x^a * y^b is a basis monomial of
+    the tensor (its degree is at most k1 + k2 - 2).  Otherwise its row is
+    x^a * y^b - NF1(x^a) * NF2(y^b), which lies in the ideal (a monomial
+    at or above its factor's order has normal form 0); every other term
+    of it is a product of basis monomials, graded-lex larger than
+    x^a * y^b.  The rows have distinct pivots, and the dim(W1) * dim(W2)
+    monomials left without one match the dimension of the quotient, so
+    the rows span the ideal below the order: they are its reduced echelon
+    rows with each pivot the row's smallest monomial, which are unique.
+    Each factor keeps its embedded generators, so a repeated call
+    re-embeds and rehashes nothing; the monomial cap is checked first.
     """
-    total = w1.nvars + w2.nvars
-    relations: List[Polynomial] = []
-    for gen in w1.ideal_generators():
-        relations.append(embed_poly(gen, total, 0))
-    for gen in w2.ideal_generators():
-        relations.append(embed_poly(gen, total, w1.nvars))
-    return WeilAlgebra(_tensor_names(total), relations, w1.order + w2.order - 1)
+    total, order = w1.nvars + w2.nvars, w1.order + w2.order - 1
+    _check_span(total, order)
+    relations = _TensorRelations(
+        w1._embedded_generators(total, 0) + w2._embedded_generators(total, w1.nvars),
+        (w1, w2),
+    )
+    return WeilAlgebra(_tensor_names(total), relations, order)
+
+
+def _tensor_of(w1: WeilAlgebra, w2: WeilAlgebra, t: WeilAlgebra | None) -> WeilAlgebra:
+    """``t``, checked to be the tensor product of w1 and w2, or that
+    product when ``t`` is None."""
+    product = tensor(w1, w2)
+    if t is None:
+        return product
+    if t != product:
+        raise AlgebraMismatch(f"{t!r} is not the tensor product of the given factors")
+    return t
+
+
+def _factor_positions(t: WeilAlgebra, w1: WeilAlgebra, w2: WeilAlgebra):
+    """``(positions, pairs)`` for t = w1 (x) w2: ``positions[i][j]`` is the
+    basis position in t of the product of the i-th basis monomials of w1
+    and the j-th of w2, and ``pairs[p]`` is the (i, j) of position p.
+    The factor bases are the two variable blocks of t's basis, so the
+    split alone determines the map, which t's built state keeps."""
+    found = t._splits.get(w1.nvars)
+    if found is None:
+        index = t.basis_index
+        positions = tuple(
+            tuple(index[Monomial(m1.exponents + m2.exponents)] for m2 in w2.basis)
+            for m1 in w1.basis
+        )
+        at = {p: (i, j) for i, row in enumerate(positions) for j, p in enumerate(row)}
+        found = t._splits[w1.nvars] = (positions, tuple(at[p] for p in range(t.dimension)))
+    return found
+
+
+def tensor_join(
+    t: WeilAlgebra, w1: WeilAlgebra, w2: WeilAlgebra, parts: Mapping[int, WeilElement], mode: str
+) -> WeilElement:
+    """The element of t = w1 (x) w2 whose coordinate at the product of the
+    i-th basis monomial of w1 and the j-th of w2 is coordinate j of
+    ``parts[i]``, an element of w2 in ``mode``; a missing part is zero.
+    Coordinates move by position: floats unchanged, exact numerators
+    over the common denominator of the parts."""
+    positions = _factor_positions(t, w1, w2)[0]
+    if mode == REAL:
+        vec = [0.0] * t.dimension
+        for i, part in parts.items():
+            for p, c in zip(positions[i], part._v):
+                if c:
+                    vec[p] = c
+        return _real(t, vec)
+    den = math.lcm(*(part._den for part in parts.values()))
+    vec = [0] * t.dimension
+    for i, part in parts.items():
+        scale = den // part._den
+        for p, n in zip(positions[i], part._v):
+            if n:
+                vec[p] = n * scale
+    return _exact(t, vec, den)
+
+
+def tensor_split(
+    t: WeilAlgebra, w1: WeilAlgebra, w2: WeilAlgebra, element: WeilElement
+) -> Dict[int, WeilElement]:
+    """The inverse of ``tensor_join``: the nonzero parts of an element of
+    t = w1 (x) w2, by basis position of w1, each an element of w2."""
+    pairs = _factor_positions(t, w1, w2)[1]
+    real = element.mode == REAL
+    groups: Dict[int, list] = {}
+    for (i, j), c in zip(pairs, element._v):
+        if c:
+            vec = groups.get(i)
+            if vec is None:
+                vec = groups[i] = [0.0 if real else 0] * w2.dimension
+            vec[j] = c
+    if real:
+        return {i: _real(w2, vec) for i, vec in groups.items()}
+    return {i: _exact(w2, vec, element._den) for i, vec in groups.items()}
 
 
 def tensor_inclusions(
     w1: WeilAlgebra, w2: WeilAlgebra, t: WeilAlgebra | None = None
 ) -> Tuple[WeilMorphism, WeilMorphism]:
     """The two canonical inclusion morphisms W1 -> T and W2 -> T."""
-    if t is None:
-        t = tensor(w1, w2)
+    t = _tensor_of(w1, w2, t)
     total = t.nvars
     left = WeilMorphism(w1, t, [variable(total, i) for i in range(w1.nvars)])
     right = WeilMorphism(
@@ -842,24 +1005,20 @@ def tensor_pair(
 ) -> WeilElement:
     """The bilinear map (a, b) -> a*b into the tensor product, computed by
     basis bookkeeping: the product of two factor basis monomials is itself
-    a basis monomial of T."""
+    a basis monomial of T, at the position the tensor's factor map gives."""
     if a.algebra != w1 or b.algebra != w2:
         raise AlgebraMismatch("tensor_pair arguments do not match the factors")
     if a.mode != b.mode:
         raise ScalarModeError("mixed scalar modes in tensor_pair")
-    if t is None:
-        t = tensor(w1, w2)
-    index = t.basis_index
+    t = _tensor_of(w1, w2, t)
+    positions = _factor_positions(t, w1, w2)[0]
     vec = [0.0 if a.mode == REAL else 0] * t.dimension
-    for m1, c1 in zip(w1.basis, a._v):
+    for row, c1 in zip(positions, a._v):
         if not c1:
             continue
-        for m2, c2 in zip(w2.basis, b._v):
+        for p, c2 in zip(row, b._v):
             if c2:
-                mono = Monomial(m1.exponents + m2.exponents)
-                if mono not in index:
-                    raise ValueError(f"{mono} is not a quotient-basis monomial")
-                vec[index[mono]] = c1 * c2
+                vec[p] = c1 * c2
     if a.mode == REAL:
         return _real(t, vec)
     return _exact(t, vec, a._den * b._den)
@@ -869,10 +1028,8 @@ def tensor_morphism(
     psi1: WeilMorphism, psi2: WeilMorphism, source: WeilAlgebra | None = None, target: WeilAlgebra | None = None
 ) -> WeilMorphism:
     """psi1 (x) psi2 : tensor(src1, src2) -> tensor(tgt1, tgt2)."""
-    if source is None:
-        source = tensor(psi1.source, psi2.source)
-    if target is None:
-        target = tensor(psi1.target, psi2.target)
+    source = _tensor_of(psi1.source, psi2.source, source)
+    target = _tensor_of(psi1.target, psi2.target, target)
     total = target.nvars
     psibar: List[Polynomial] = []
     for p in psi1.psibar:

@@ -192,6 +192,9 @@ MAX_NESTING = 100
 # Largest |exponent| the parser accepts after '^'.  A power is multiplied
 # out one factor at a time, so this bounds the work of one Pow node.
 MAX_EXPONENT = 1000
+# Most nodes one parse may build, over all outputs: twice the 10^5 or so
+# of a 50,000-term sum.  Every walk costs one step per distinct node.
+MAX_NODES = 200_000
 
 
 class _Parser:
@@ -199,6 +202,14 @@ class _Parser:
         self.text = text
         self.pos = 0
         self.depth = 0
+        self.nodes = 0
+
+    def node(self, cls: type, *fields) -> Expr:
+        """Build one expression node, counting it against MAX_NODES."""
+        self.nodes += 1
+        if self.nodes > MAX_NODES:
+            self.error(f"expression has more than {MAX_NODES} nodes")
+        return cls(*fields)
 
     def nested(self, parse: Callable[[], Expr]) -> Expr:
         """Run one nested production, counting its depth."""
@@ -261,10 +272,10 @@ class _Parser:
             c = self.peek()
             if c == "+":
                 self.pos += 1
-                node = Add(node, self.term())
+                node = self.node(Add, node, self.term())
             elif c == "-":
                 self.pos += 1
-                node = Sub(node, self.term())
+                node = self.node(Sub, node, self.term())
             else:
                 return node
 
@@ -275,10 +286,10 @@ class _Parser:
             c = self.peek()
             if c == "*":
                 self.pos += 1
-                node = Mul(node, self.factor())
+                node = self.node(Mul, node, self.factor())
             elif c == "/":
                 self.pos += 1
-                node = Div(node, self.factor())
+                node = self.node(Div, node, self.factor())
             else:
                 return node
 
@@ -286,7 +297,7 @@ class _Parser:
     def factor(self) -> Expr:
         if self.peek() == "-":
             self.pos += 1
-            return Neg(self.nested(self.factor))
+            return self.node(Neg, self.nested(self.factor))
         return self.power()
 
     # power := atom ('^' '-'? INT)*
@@ -298,7 +309,7 @@ class _Parser:
             exponent = self.read_int()
             if exponent > MAX_EXPONENT:
                 self.error(f"exponent {exponent} exceeds {MAX_EXPONENT}")
-            node = Pow(node, sign * exponent)
+            node = self.node(Pow, node, sign * exponent)
         return node
 
     def atom(self) -> Expr:
@@ -311,18 +322,18 @@ class _Parser:
             self.expect(")")
             return node
         if c.isdigit():
-            return Const(Fraction(self.read_int()))
+            return self.node(Const, Fraction(self.read_int()))
         if c.isalpha() or c == "_":
             name = self.read_name()
             if name in PRIMITIVES:
                 self.expect("(")
                 arg = self.nested(self.expr)
                 self.expect(")")
-                return Call(name, arg)
+                return self.node(Call, name, arg)
             if name.startswith("t") and name[1:].isdigit():
-                return Var(int(name[1:]))
+                return self.node(Var, int(name[1:]))
             if name in VAR_ALIASES:
-                return Var(VAR_ALIASES[name])
+                return self.node(Var, VAR_ALIASES[name])
             self.error(f"unknown name {name!r}")
         self.error("expected expression")
 

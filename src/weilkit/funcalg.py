@@ -30,6 +30,8 @@ from .algebras import (
     WeilElement,
     real_line_algebra,
     tensor,
+    tensor_join,
+    tensor_split,
 )
 from .errors import AlgebraMismatch, DegreeOverflow, IdealViolation
 from .expressions import SmoothMap, Var, map_polynomials
@@ -485,8 +487,7 @@ class CurryIso:
 
     @functools.cached_property
     def coproduct(self) -> Domain:
-        # cached: building the tensor quotient is far more expensive than
-        # the regrouping itself
+        # cached: every regrouping reads it
         return domain_coproduct(
             Domain(self.inner_nvars, self.inner_algebra),
             Domain(self.outer_nvars, self.outer_algebra),
@@ -496,47 +497,31 @@ class CurryIso:
         dom = self.coproduct
         if wp.nvars != dom.base_arity or wp.algebra != dom.weil:
             raise AlgebraMismatch("value does not live over the coproduct domain")
-        n, ell = self.inner_nvars, self.inner_algebra.nvars
-        slots: Dict[Tuple[Monomial, Monomial], Dict[Monomial, Dict[Monomial, Fraction]]] = {}
+        n, inner, outer = self.inner_nvars, self.inner_algebra, self.outer_algebra
+        slots: Dict[Tuple[Monomial, Monomial], Dict[Monomial, WeilElement]] = {}
         for mono, coeff in wp.terms.items():
             mu = Monomial(mono.exponents[:n])
             kappa = Monomial(mono.exponents[n:])
-            for tau, c in coeff.coords.items():
-                nu = Monomial(tau.exponents[:ell])
-                xi = Monomial(tau.exponents[ell:])
-                slots.setdefault((mu, nu), {}).setdefault(kappa, {})[xi] = c
-        built = {
-            key: WeilPoly(
-                self.outer_nvars,
-                self.outer_algebra,
-                {
-                    kappa: self.outer_algebra.element(coords)
-                    for kappa, coords in polys.items()
-                },
-            )
-            for key, polys in slots.items()
-        }
-        return CurriedValue(
-            self.inner_nvars,
-            self.inner_algebra,
-            self.outer_nvars,
-            self.outer_algebra,
-            built,
-        )
+            for i, part in tensor_split(dom.weil, inner, outer, coeff).items():
+                slots.setdefault((mu, inner.basis[i]), {})[kappa] = part
+        built = {key: WeilPoly(self.outer_nvars, outer, polys) for key, polys in slots.items()}
+        return CurriedValue(self.inner_nvars, inner, self.outer_nvars, outer, built)
 
     def backward(self, value: CurriedValue) -> WeilPoly:
         dom = self.coproduct
-        terms: Dict[Monomial, Dict[Monomial, Fraction]] = {}
+        inner, outer = self.inner_algebra, self.outer_algebra
+        parts: Dict[Monomial, Dict[int, WeilElement]] = {}
         for (mu, nu), wp in value.terms.items():
             for kappa, element in wp.terms.items():
                 mono = Monomial(mu.exponents + kappa.exponents)
-                for xi, c in element.coords.items():
-                    tau = Monomial(nu.exponents + xi.exponents)
-                    terms.setdefault(mono, {})[tau] = c
+                parts.setdefault(mono, {})[inner.basis_index[nu]] = element
         return WeilPoly(
             dom.base_arity,
             dom.weil,
-            {mono: dom.weil.element(coords) for mono, coords in terms.items()},
+            {
+                mono: tensor_join(dom.weil, inner, outer, by_slot, RATIONAL)
+                for mono, by_slot in parts.items()
+            },
         )
 
 

@@ -38,7 +38,9 @@ from .algebras import (
     elements_close,
     identity_morphism,
     tensor,
+    tensor_join,
     tensor_morphism,
+    tensor_split,
 )
 from .errors import AlgebraMismatch, DomainError, ScalarModeError
 from .expressions import (
@@ -599,27 +601,23 @@ class AssociativityIso:
     w2: WeilAlgebra
     tensor_algebra: WeilAlgebra
 
+    def __post_init__(self):
+        if self.tensor_algebra != tensor(self.w1, self.w2):
+            raise AlgebraMismatch("tensor_algebra is not the tensor product of w1 and w2")
+
     def forward(self, element: NestedElement) -> WeilElement:
         if element.outer != self.w1 or element.scalars != self.w2:
             raise AlgebraMismatch("nested element over the wrong algebra pair")
-        coords: Dict[Monomial, Scalar] = {}
-        for m, inner in element.terms.items():
-            for n, c in inner.coords.items():
-                coords[Monomial(m.exponents + n.exponents)] = c
-        return self.tensor_algebra.element(coords, element.mode)
+        index = self.w1.basis_index
+        parts = {index[m]: inner for m, inner in element.terms.items()}
+        return tensor_join(self.tensor_algebra, self.w1, self.w2, parts, element.mode)
 
     def backward(self, element: WeilElement) -> NestedElement:
         if element.algebra != self.tensor_algebra:
             raise AlgebraMismatch("element does not live in the tensor algebra")
-        split = self.w1.nvars
-        grouped: Dict[Monomial, Dict[Monomial, Scalar]] = {}
-        for mono, c in element.coords.items():
-            left = Monomial(mono.exponents[:split])
-            right = Monomial(mono.exponents[split:])
-            grouped.setdefault(left, {})[right] = c
-        coords = {
-            m: self.w2.element(inner, element.mode) for m, inner in grouped.items()
-        }
+        basis = self.w1.basis
+        parts = tensor_split(self.tensor_algebra, self.w1, self.w2, element)
+        coords = {basis[i]: part for i, part in parts.items()}
         return NestedElement(self.w1, self.w2, coords, element.mode)
 
 

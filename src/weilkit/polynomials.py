@@ -125,10 +125,12 @@ class Polynomial:
     """Immutable sparse polynomial with exact rational coefficients.
 
     Invariant: no stored coefficient is zero, and every monomial has
-    exactly ``nvars`` exponents.
+    exactly ``nvars`` exponents.  The hash is computed on first use and
+    kept, so a polynomial used again as part of an intern key costs no
+    rehash.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "terms", "_hash")
 
     def __init__(self, nvars: int, terms: Dict[Monomial, Fraction] | None = None):
         clean: Terms = {}
@@ -160,7 +162,12 @@ class Polynomial:
         )
 
     def __hash__(self) -> int:
-        return hash((self.nvars, frozenset(self.terms.items())))
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.nvars, frozenset(self.terms.items())))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""

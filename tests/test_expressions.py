@@ -9,6 +9,7 @@ from weilkit.errors import DomainError, ParseError, ScalarModeError
 from weilkit.expressions import (
     MAX_EXPONENT,
     MAX_NESTING,
+    MAX_NODES,
     Add,
     Call,
     Const,
@@ -129,6 +130,14 @@ class TestParsing:
         for text in ("t^1001", "t^-1001", "(1 + t)^2^1001"):
             with pytest.raises(ParseError, match="exceeds 1000"):
                 parse_smooth_map(text)
+
+    def test_node_bound_counts_every_output(self):
+        # above the ~10^5 nodes of the deep sum below; a sum of n terms
+        # has 2n - 1 nodes, so each output alone is within the bound
+        assert MAX_NODES >= 2 * 10**5 - 1
+        half = " + ".join(["t"] * (MAX_NODES // 4 + 1))
+        with pytest.raises(ParseError, match=f"more than {MAX_NODES} nodes"):
+            parse_smooth_map(f"{half}, {half}")
 
     @pytest.mark.parametrize("text", ["9" * 5000, "t^" + "9" * 5000])
     def test_integer_too_long_to_read(self, text):

@@ -12,6 +12,7 @@ import pytest
 from weilkit import cli
 from weilkit.cli import main
 from weilkit.errors import ConfigError, WeilkitError
+from weilkit.expressions import MAX_NODES
 from weilkit.funcalg import DomainMorphism, probe_functoriality, wpoly_zero
 from weilkit.lifting import Euclidean
 from weilkit.reports import Report, SuiteReport, render_report
@@ -362,6 +363,15 @@ class TestCliLift:
         err = capsys.readouterr().err
         assert err.startswith("error: expression nested deeper than")
         assert len(err.splitlines()) == 1
+
+    def test_too_many_nodes_exits_2(self, capsys):
+        # a sum of n terms has 2n - 1 nodes
+        terms = MAX_NODES // 2 + 1
+        argv = ["lift", "--algebra", "dual", "--expr", "+".join(["t"] * terms), "--at", "1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: expression has more than {MAX_NODES} nodes")
+        assert len(captured.err.splitlines()) == 1 and captured.out == ""
 
     def test_huge_exponent_exits_2_at_once(self, capsys):
         started = time.monotonic()
