@@ -55,7 +55,7 @@ from .errors import (
     ScalarModeError,
 )
 from .polynomials import (
-    Exponents,
+    MAX_EXPONENT,
     Monomial,
     Polynomial,
     ReductionBasis,
@@ -166,25 +166,28 @@ def _built(names: Tuple[str, ...], relations: Tuple[Polynomial, ...], order: int
     ImproperIdeal when the quotient is zero; failures are not kept in
     the table.
 
-    The table maps the exponent tuple of every monomial below the order
-    to its normal form, read off the echelon rows: a basis monomial is
-    its own normal form, and a pivot is minus the rest of its row (each
-    row is monic in its pivot and holds no other pivot).  The rows of a
-    tensor product come from its factors' tables (see ``tensor``)."""
+    The table maps every monomial below the order to its normal form,
+    read off the echelon rows: a basis monomial is its own normal form,
+    and a pivot is minus the rest of its row (each row is monic in its
+    pivot and holds no other pivot).  The rows of a tensor product come
+    from its factors' tables (see ``tensor``)."""
     nvars = len(names)
     for rel in relations:
         if rel.nvars != nvars:
             raise ValueError("relation arity mismatch")
         if rel.constant_term() != 0:
             raise ImproperIdeal(f"relation {rel.format(names)} has nonzero constant term")
+        top = max((e for m in rel.terms for e in m), default=0)
+        if top > MAX_EXPONENT:
+            raise ParseError(f"relation exponent {top} exceeds {MAX_EXPONENT}")
     if isinstance(relations, _TensorRelations):
         reduction, basis, table = _tensor_rows(*relations.factors)
     else:
         reduction = build_reduction_basis(relations, nvars, order)
         basis = tuple(reduction.quotient_basis())
-        table = {m.exponents: ((m, Fraction(1)),) for m in basis}
+        table = {m: ((m, Fraction(1)),) for m in basis}
         for pivot, row in reduction.rows:
-            table[pivot.exponents] = tuple((m, -c) for m, c in row.sorted_terms() if m != pivot)
+            table[pivot] = tuple((m, -c) for m, c in row.sorted_terms() if m != pivot)
     basis_index = {m: i for i, m in enumerate(basis)}
     if unit_monomial(nvars) not in basis_index:
         raise ImproperIdeal("constant monomial not in quotient basis")
@@ -199,28 +202,25 @@ def _tensor_rows(w1: "WeilAlgebra", w2: "WeilAlgebra"):
     written down from the factors' normal forms (see ``tensor``)."""
     nvars, order, split = w1.nvars + w2.nvars, w1.order + w2.order - 1, w1.nvars
     nf1, nf2 = w1._mul_table, w2._mul_table
-    basis1, basis2 = ({m.exponents for m in w.basis} for w in (w1, w2))
+    index1, index2 = w1.basis_index, w2.basis_index
     monomials = monomials_below_degree(nvars, order)
-    basis = tuple(
-        m for m in monomials if m.exponents[:split] in basis1 and m.exponents[split:] in basis2
-    )
-    index = {m.exponents: (i, m) for i, m in enumerate(basis)}
-    table: Dict[Exponents, Tuple[Tuple[Monomial, Fraction], ...]] = {}
+    basis = tuple(m for m in monomials if m[:split] in index1 and m[split:] in index2)
+    index = {m: (i, m) for i, m in enumerate(basis)}
+    table: Dict[Monomial, Tuple[Tuple[Monomial, Fraction], ...]] = {}
     rows = []
     one = Fraction(1)
     for mono in monomials:
-        exponents = mono.exponents
-        if exponents in index:
-            table[exponents] = ((mono, one),)
+        if mono in index:
+            table[mono] = ((mono, one),)
             continue
         # NF(x^a * y^b) = NF1(x^a) * NF2(y^b); a factor at or above its
         # own order has normal form 0, so is missing from its table
         terms = sorted(
-            (index[m1.exponents + m2.exponents], c1 * c2)
-            for m1, c1 in nf1.get(exponents[:split], ())
-            for m2, c2 in nf2.get(exponents[split:], ())
+            (index[m1 + m2], c1 * c2)
+            for m1, c1 in nf1.get(mono[:split], ())
+            for m2, c2 in nf2.get(mono[split:], ())
         )
-        table[exponents] = tuple((m, c) for (_, m), c in terms)
+        table[mono] = tuple((m, c) for (_, m), c in terms)
         row = {mono: one}
         for (_, m), c in terms:
             row[m] = -c
@@ -240,14 +240,14 @@ def _kernel_tables(basis: Tuple[Monomial, ...], index: Dict[Monomial, int], tabl
     holds integer structure constants over one table denominator, the
     real table their float copies (infinite where a constant is beyond
     float range, so a real product that uses it is a DomainError)."""
-    weights = [(2 * order - 1) ** v for v in range(len(basis[0].exponents))]
+    weights = [(2 * order - 1) ** v for v in range(len(basis[0]))]
     degrees = [m.degree for m in basis]
-    codes = tuple(sum(map(mul, m.exponents, weights)) for m in basis)
+    codes = tuple(sum(map(mul, m, weights)) for m in basis)
     reach = tuple(bisect_left(degrees, order - d) for d in degrees)
     den = math.lcm(*(c.denominator for entries in table.values() for _, c in entries))
     exact, real = {}, {}
-    for exponents, entries in table.items():
-        code = sum(map(mul, exponents, weights))
+    for mono, entries in table.items():
+        code = sum(map(mul, mono, weights))
         exact[code] = tuple((index[m], c.numerator * (den // c.denominator)) for m, c in entries)
         real[code] = tuple((index[m], _float_constant(c)) for m, c in entries)
     return codes, reach, exact, den, real
@@ -327,7 +327,7 @@ class WeilAlgebra:
         """Normal form of the product of two basis monomials, as
         (basis monomial, rational coefficient) pairs in graded-lex
         order; empty when the product has degree at least the order."""
-        return self._mul_table.get(tuple(map(add, m1.exponents, m2.exponents)), ())
+        return self._mul_table.get(tuple(map(add, m1, m2)), ())
 
     def ideal_generators(self) -> List[Polynomial]:
         """The presented relations together with the degree-k monomial
@@ -929,10 +929,7 @@ def _factor_positions(t: WeilAlgebra, w1: WeilAlgebra, w2: WeilAlgebra):
     found = t._splits.get(w1.nvars)
     if found is None:
         index = t.basis_index
-        positions = tuple(
-            tuple(index[Monomial(m1.exponents + m2.exponents)] for m2 in w2.basis)
-            for m1 in w1.basis
-        )
+        positions = tuple(tuple(index[m1 + m2] for m2 in w2.basis) for m1 in w1.basis)
         at = {p: (i, j) for i, row in enumerate(positions) for j, p in enumerate(row)}
         found = t._splits[w1.nvars] = (positions, tuple(at[p] for p in range(t.dimension)))
     return found

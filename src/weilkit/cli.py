@@ -126,7 +126,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     started = time.monotonic()
     report = run_suite(config)
     elapsed = time.monotonic() - started
-    Path(args.out).write_text(render_report(report))
+    try:
+        Path(args.out).write_text(render_report(report))
+    except OSError as exc:
+        raise ConfigError(f"cannot write report to {args.out}: {exc.strerror}") from exc
     # wall time is real but goes to stderr: the report file itself is
     # byte-identical for identical (config, seed, version)
     print(f"verify ran {elapsed:.2f}s", file=sys.stderr)

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, ParseError, ScalarModeError
-from .polynomials import Polynomial, constant, times_power, variable
+from .polynomials import MAX_EXPONENT, Polynomial, constant, times_power, variable
 
 PRIMITIVES = ("sin", "cos", "exp", "log", "sqrt")
 
@@ -189,9 +189,8 @@ def max_var_index(e: Expr) -> int:
 # parser accepts.  Each parenthesis level costs it five Python frames, so
 # this stays well inside the interpreter's default recursion limit of 1000.
 MAX_NESTING = 100
-# Largest |exponent| the parser accepts after '^'.  A power is multiplied
-# out one factor at a time, so this bounds the work of one Pow node.
-MAX_EXPONENT = 1000
+# MAX_EXPONENT, the largest |exponent| the parser accepts after '^', is
+# the cap that presentations' relations share (see polynomials).
 # Most nodes one parse may build, over all outputs: twice the 10^5 or so
 # of a 50,000-term sum.  Every walk costs one step per distinct node.
 MAX_NODES = 200_000
@@ -512,7 +511,7 @@ def polynomial_to_expr(p: Polynomial) -> Expr:
     node: Expr | None = None
     for mono, coeff in p.sorted_terms():
         piece: Expr = Const(coeff)
-        for i, e in enumerate(mono.exponents):
+        for i, e in enumerate(mono):
             if e == 0:
                 continue
             v: Expr = Var(i) if e == 1 else Pow(Var(i), e)

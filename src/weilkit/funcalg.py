@@ -70,7 +70,7 @@ class WeilPoly(RingCoords):
         self.algebra = algebra
         clean: Dict[Monomial, WeilElement] = {}
         for mono, coeff in sorted(terms.items(), key=lambda kv: kv[0].key()):
-            if mono.nvars != nvars:
+            if len(mono) != nvars:
                 raise AlgebraMismatch("monomial arity mismatch in coefficients")
             if coeff.algebra != algebra:
                 raise AlgebraMismatch("coefficient outside the coefficient algebra")
@@ -188,10 +188,7 @@ def block_monomials(blocks: Tuple[int, ...], degree: int) -> Iterator[Monomial]:
     each block separately."""
     pools = [monomials_up_to_degree(b, degree) for b in blocks]
     for combo in itertools.product(*pools):
-        exps: Tuple[int, ...] = ()
-        for m in combo:
-            exps = exps + m.exponents
-        yield Monomial(exps)
+        yield Monomial(itertools.chain.from_iterable(combo))
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +349,7 @@ class DomainMorphism:
         flat = Polynomial(
             wp.nvars + wp.algebra.nvars,
             {
-                Monomial(mono.exponents + nil.exponents): c
+                Monomial(mono + nil): c
                 for mono, coeff in wp.terms.items()
                 for nil, c in coeff.coords.items()
             },
@@ -437,7 +434,7 @@ class CurriedValue(RingCoords):
         for key in sorted(slots, key=lambda k: (k[0].key(), k[1].key())):
             wp = slots[key]
             mu, nu = key
-            if mu.nvars != inner_nvars or nu not in inner_algebra.basis_index:
+            if len(mu) != inner_nvars or nu not in inner_algebra.basis_index:
                 raise AlgebraMismatch("slot key outside the inner carrier")
             if wp.nvars != outer_nvars or wp.algebra != outer_algebra:
                 raise AlgebraMismatch("slot value outside the outer carrier")
@@ -500,8 +497,7 @@ class CurryIso:
         n, inner, outer = self.inner_nvars, self.inner_algebra, self.outer_algebra
         slots: Dict[Tuple[Monomial, Monomial], Dict[Monomial, WeilElement]] = {}
         for mono, coeff in wp.terms.items():
-            mu = Monomial(mono.exponents[:n])
-            kappa = Monomial(mono.exponents[n:])
+            mu, kappa = Monomial(mono[:n]), Monomial(mono[n:])
             for i, part in tensor_split(dom.weil, inner, outer, coeff).items():
                 slots.setdefault((mu, inner.basis[i]), {})[kappa] = part
         built = {key: WeilPoly(self.outer_nvars, outer, polys) for key, polys in slots.items()}
@@ -513,7 +509,7 @@ class CurryIso:
         parts: Dict[Monomial, Dict[int, WeilElement]] = {}
         for (mu, nu), wp in value.terms.items():
             for kappa, element in wp.terms.items():
-                mono = Monomial(mu.exponents + kappa.exponents)
+                mono = Monomial(mu + kappa)
                 parts.setdefault(mono, {})[inner.basis_index[nu]] = element
         return WeilPoly(
             dom.base_arity,

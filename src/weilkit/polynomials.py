@@ -3,11 +3,15 @@ quotient-ring reduction, and the graded-lex monomial order.
 
 Representation notes
 --------------------
-A monomial is an exponent tuple, one entry per variable.  The ambient
-ordering used everywhere (basis enumeration, pivot selection, canonical
-printing) is *graded lexicographic*: compare total degree first, then
-the exponent tuples as plain sequences.  Under this order the key of a
-monomial is simply ``(degree, exponents)``.
+A monomial is its exponent tuple, one entry per variable: ``Monomial``
+subclasses ``tuple`` and keeps no other state, so it equals and hashes
+as the plain tuple of the same exponents and either one looks it up in
+a dict keyed by monomials.  Slicing or concatenating monomials gives
+plain tuples.  The ambient ordering used everywhere (basis enumeration,
+pivot selection, canonical printing) is *graded lexicographic*: compare
+total degree first, then the exponent tuples as plain sequences.  Under
+this order the key of a monomial is simply ``(degree, exponents)``, and
+``<``, ``<=``, ``>`` and ``>=`` on monomials compare keys.
 
 A polynomial is a finite map from monomials to nonzero ``Fraction``
 coefficients together with its variable count.  All ideal-side
@@ -24,52 +28,58 @@ canonical: zero exactly on ideal members, idempotent, linear.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .errors import AlgebraMismatch, ImproperIdeal, ParseError
 from .reports import scalar_str
 
-Exponents = Tuple[int, ...]
+# Largest exponent an expression's '^' or a presentation's relation may
+# carry.  A power is multiplied out one factor at a time, so this bounds
+# the work of one power.
+MAX_EXPONENT = 1000
 
 
-@dataclass(frozen=True, order=False)
-class Monomial:
-    """A power product, stored as its exponent tuple."""
+class Monomial(tuple):
+    """A power product: the tuple of its exponents, one per variable.
+    It equals and hashes as the plain tuple, so either looks it up; the
+    four order comparisons are graded-lex, not the tuple's."""
 
-    exponents: Exponents
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if any(e < 0 for e in self.exponents):
+    def __new__(cls, exponents: Iterable[int]):
+        self = super().__new__(cls, exponents)
+        if self and min(self) < 0:
             raise ValueError("negative exponent in monomial")
+        return self
+
+    @property
+    def exponents(self) -> "Monomial":
+        return self
 
     @property
     def degree(self) -> int:
-        return sum(self.exponents)
+        return sum(self)
 
-    @property
-    def nvars(self) -> int:
-        return len(self.exponents)
-
-    def key(self) -> Tuple[int, Exponents]:
+    def key(self) -> Tuple[int, Tuple[int, ...]]:
         """Graded-lex sort key: total degree first, then exponent tuple."""
-        return (self.degree, self.exponents)
+        return (sum(self), tuple(self))
 
-    def __lt__(self, other: "Monomial") -> bool:
-        return self.key() < other.key()
+    # all four, so that a > b means b < a; key() reads plain tuples too
+    __lt__ = lambda self, other: Monomial.key(self) < Monomial.key(other)
+    __le__ = lambda self, other: Monomial.key(self) <= Monomial.key(other)
+    __gt__ = lambda self, other: Monomial.key(self) > Monomial.key(other)
+    __ge__ = lambda self, other: Monomial.key(self) >= Monomial.key(other)
 
     def mul(self, other: "Monomial") -> "Monomial":
-        if len(self.exponents) != len(other.exponents):
+        if len(self) != len(other):
             raise ValueError("monomial arity mismatch")
-        return Monomial(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
-
-    def is_unit(self) -> bool:
-        return self.degree == 0
+        return Monomial(map(add, self, other))
 
     def format(self, names: Sequence[str]) -> str:
         parts = []
-        for name, e in zip(names, self.exponents):
+        for name, e in zip(names, self):
             if e == 1:
                 parts.append(name)
             elif e > 1:
@@ -84,17 +94,13 @@ def unit_monomial(nvars: int) -> Monomial:
 def monomials_of_degree(nvars: int, degree: int) -> Iterator[Monomial]:
     """All monomials in ``nvars`` variables of exact total degree, in
     graded-lex (here: plain lex) order."""
-    if nvars == 0:
-        if degree == 0:
-            yield Monomial(())
-        return
-    for exps in _compositions(degree, nvars):
-        yield Monomial(exps)
+    return map(Monomial, _compositions(degree, nvars))
 
 
-def _compositions(total: int, parts: int) -> Iterator[Exponents]:
-    if parts == 1:
-        yield (total,)
+def _compositions(total: int, parts: int) -> Iterator[Tuple[int, ...]]:
+    if parts < 2:
+        if parts or not total:  # no parts sum only to 0
+            yield (total,) * parts
         return
     for first in range(total + 1):
         for rest in _compositions(total - first, parts - 1):
@@ -102,11 +108,9 @@ def _compositions(total: int, parts: int) -> Iterator[Exponents]:
 
 
 def monomials_below_degree(nvars: int, bound: int) -> List[Monomial]:
-    """All monomials of total degree < bound, sorted graded-lex ascending."""
-    out: List[Monomial] = []
-    for d in range(bound):
-        out.extend(sorted(monomials_of_degree(nvars, d), key=Monomial.key))
-    return out
+    """All monomials of total degree < bound, sorted graded-lex ascending
+    (each degree comes out in lex order)."""
+    return [m for d in range(bound) for m in monomials_of_degree(nvars, d)]
 
 
 def monomials_up_to_degree(nvars: int, bound: int) -> List[Monomial]:
@@ -136,7 +140,7 @@ class Polynomial:
         clean: Terms = {}
         if terms:
             for mono, coeff in terms.items():
-                if mono.nvars != nvars:
+                if len(mono) != nvars:
                     raise ValueError("monomial arity mismatch in polynomial")
                 c = Fraction(coeff)
                 if c != 0:
@@ -186,7 +190,7 @@ class Polynomial:
         total = Fraction(0)
         for mono, coeff in self.terms.items():
             value = coeff
-            for arg, e in zip(args, mono.exponents):
+            for arg, e in zip(args, mono):
                 if e:
                     value *= arg ** e
             total += value
@@ -305,7 +309,7 @@ def substitute_poly(poly: Polynomial, args: Sequence, const, mul=lambda a, b: a.
     acc = const(Fraction(0))
     for mono, coeff in poly.sorted_terms():
         term = const(coeff)
-        for arg, e in zip(args, mono.exponents):
+        for arg, e in zip(args, mono):
             term = times_power(term, arg, e, mul)
         acc = acc.add(term)
     return acc
@@ -347,24 +351,16 @@ def variable(nvars: int, index: int) -> Polynomial:
 
 
 def from_monomial(mono: Monomial, coeff: Fraction | int = 1) -> Polynomial:
-    return Polynomial(mono.nvars, {mono: Fraction(coeff)})
-
-
-def embed_monomial(mono: Monomial, total_nvars: int, offset: int) -> Monomial:
-    """Re-index a monomial into a wider variable block starting at offset."""
-    if offset + mono.nvars > total_nvars:
-        raise ValueError("embedding exceeds variable count")
-    exps = [0] * total_nvars
-    for i, e in enumerate(mono.exponents):
-        exps[offset + i] = e
-    return Monomial(tuple(exps))
+    return Polynomial(len(mono), {mono: Fraction(coeff)})
 
 
 def embed_poly(poly: Polynomial, total_nvars: int, offset: int) -> Polynomial:
     """Re-index a polynomial into a wider variable block starting at offset."""
+    if offset + poly.nvars > total_nvars:
+        raise ValueError("embedding exceeds variable count")
+    before, after = (0,) * offset, (0,) * (total_nvars - offset - poly.nvars)
     return Polynomial(
-        total_nvars,
-        {embed_monomial(m, total_nvars, offset): c for m, c in poly.terms.items()},
+        total_nvars, {Monomial(before + m + after): c for m, c in poly.terms.items()}
     )
 
 

@@ -24,7 +24,6 @@ from .algebras import (
 from .errors import IdealViolation, ImproperIdeal
 from .expressions import Expr, SmoothMap, polynomial_to_expr
 from .polynomials import (
-    Monomial,
     Polynomial,
     monomials_of_degree,
     monomials_up_to_degree,
@@ -60,7 +59,7 @@ def random_element(
     coords = {}
     for i in chosen:
         mono = algebra.basis[i]
-        if base_point and mono.is_unit():
+        if base_point and not any(mono):
             continue
         coords[mono] = random_fraction(rng)
     unit = algebra.basis[0]

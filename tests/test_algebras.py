@@ -582,6 +582,14 @@ def test_presentation_size_cap_covers_tensors_and_jets():
         algebra(("x",), ("x^2",), 100000)
 
 
+def test_relation_exponent_cap_covers_library_algebras():
+    # at the cap the term already lies in m^k, so the algebra is unchanged
+    assert algebra(("x", "y"), ("x^1000 - y^2",), 3) == algebra(("x", "y"), ("y^2",), 3)
+    tall = parse_polynomial("x^1001 + y^2", ("x", "y"))
+    with pytest.raises(ParseError, match="relation exponent 1001 exceeds 1000"):
+        WeilAlgebra(("x", "y"), [tall], 3)
+
+
 def test_real_coordinates_outside_float_range_are_domain_errors():
     huge = Fraction(10) ** 400
     with pytest.raises(DomainError, match="out of float range"):

@@ -7,6 +7,7 @@ reducing over the rationals before the implementation existed; they are
 frozen here as ground truth.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weilkit.algebras import preset_algebra
 from weilkit.errors import AlgebraMismatch, ImproperIdeal, ParseError
 from weilkit.polynomials import (
     Monomial,
@@ -124,6 +126,36 @@ def test_enumeration_is_sorted_and_complete():
     ms = monomials_below_degree(2, 4)
     assert len(ms) == 10  # 1 + 2 + 3 + 4
     assert ms == sorted(ms, key=Monomial.key)
+
+
+@pytest.mark.parametrize("nvars", range(5))
+def test_enumeration_comes_out_graded_lex_without_a_sort(nvars):
+    for bound in range(7):
+        ms = monomials_below_degree(nvars, bound)
+        assert ms == sorted(ms, key=Monomial.key)
+        assert len(set(ms)) == len(ms) == (math.comb(nvars + bound - 1, nvars) if bound else 0)
+
+
+@given(monomials, monomials)
+def test_all_four_comparisons_follow_the_key(a, b):
+    ka, kb = a.key(), b.key()
+    want = (ka < kb, ka <= kb, ka > kb, ka >= kb)
+    assert (a < b, a <= b, a > b, a >= b) == want
+    # a plain tuple on either side compares graded-lex too
+    assert (a < tuple(b), a <= tuple(b), tuple(a) > b, tuple(a) >= b) == want
+
+
+def test_negative_exponent_is_rejected():
+    with pytest.raises(ValueError, match="negative exponent"):
+        Monomial((-1, 0))
+
+
+def test_monomial_is_its_exponent_tuple():
+    m = Monomial((1, 0))
+    assert isinstance(m, tuple) and m.exponents is m
+    assert m == (1, 0) and (1, 0) == m and hash(m) == hash((1, 0))
+    element = preset_algebra("dual").element({Monomial((0,)): 2, Monomial((1,)): 3})
+    assert element.coords.get((1,)) == element.coords.get(Monomial((1,))) == 3
 
 
 # ---------------------------------------------------------------------------

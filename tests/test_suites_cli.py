@@ -259,6 +259,14 @@ class TestCliCheck:
         assert err.startswith("error: presentation spans 100000 monomials")
         assert len(err.splitlines()) == 1
 
+    def test_huge_relation_exponent_exits_2(self, tmp_path, capsys):
+        f = tmp_path / "tall.json"
+        write_presentation(f, ["x"], ["x^100000000"], 3)
+        assert main(["check", str(f)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: relation exponent 100000000 exceeds 1000\n"
+
     def test_boolean_nilpotency_exits_2(self, tmp_path, capsys):
         f = tmp_path / "bool.json"
         write_presentation(f, ["x"], ["x^2"], True)
@@ -491,6 +499,25 @@ class TestCliVerify:
     def test_config_error_exits_2(self, tmp_path):
         config = self.write_config(tmp_path, suites=["made-up"])
         assert main(["verify", "--config", str(config), "--out", str(tmp_path / "r.json")]) == 2
+
+    def test_huge_relation_exponent_exits_2_at_once(self, tmp_path, capsys):
+        write_presentation(tmp_path / "tall.json", ["x"], ["x^100000000"], 3)
+        config = self.write_config(tmp_path, dims_grid={"algebras": [{"file": "tall.json"}]})
+        started = time.monotonic()
+        assert main(["verify", "--config", str(config), "--out", str(tmp_path / "r.json")]) == 2
+        assert time.monotonic() - started < 1.0
+        err = capsys.readouterr().err
+        assert "relation exponent 100000000 exceeds 1000" in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "r.json").exists()
+
+    def test_unwritable_report_path_exits_2(self, tmp_path, capsys):
+        config = self.write_config(tmp_path)
+        out = tmp_path / "absent" / "report.json"
+        assert main(["verify", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write report to {out}")
+        assert "Traceback" not in err and len(err.splitlines()) == 1
 
     def test_float_overflow_exits_3(self, tmp_path, capsys):
         # at seed 3 a real-mode lift in lifting-laws leaves the float range
