@@ -577,21 +577,8 @@ class WeilElement:
         return _exact(self.algebra, [0, *self._v[1:]], self._den)
 
     def inverse(self) -> "WeilElement":
-        """Multiplicative inverse via the finite geometric series; the
-        augmentation must be nonzero."""
-        a0 = self.augmentation()
-        if a0 == 0:
-            raise DomainError("element with zero augmentation is not invertible")
-        inv_a0 = (Fraction(1) / a0) if self.mode == RATIONAL else (1.0 / a0)
-        u = self.nilpotent_part().scale(-inv_a0)
-        acc = self.algebra.one(self.mode)
-        term = self.algebra.one(self.mode)
-        for _ in range(1, self.algebra.order):
-            term = term.mul(u)
-            if term.is_zero():
-                break
-            acc = acc.add(term)
-        return acc.scale(inv_a0)
+        """Multiplicative inverse; the augmentation must be nonzero."""
+        return geometric_inverse(self, self.algebra.one(self.mode), self.algebra.order)
 
     def to_real(self) -> "WeilElement":
         if self.mode == REAL:
@@ -613,6 +600,24 @@ class WeilElement:
         if self.mode != RATIONAL:
             raise ScalarModeError("no exact representative for a float element")
         return Polynomial(self.algebra.nvars, dict(self.coords))
+
+
+def geometric_inverse(x, one, order: int):
+    """The inverse of x = a + n (a = ``x.augmentation()`` nonzero, n =
+    ``x.nilpotent_part()`` with n^order = 0, ``one`` the unit in x's mode):
+    the geometric series a⁻¹ Σ_k (−n/a)^k, stopped at its first zero term."""
+    a0 = x.augmentation()
+    if a0 == 0:
+        raise DomainError("element with zero augmentation is not invertible")
+    inv_a0 = (Fraction(1) / a0) if x.mode == RATIONAL else (1.0 / a0)
+    u = x.nilpotent_part().scale(-inv_a0)
+    acc = term = one
+    for _ in range(1, order):
+        term = term.mul(u)
+        if term.is_zero():
+            break
+        acc = acc.add(term)
+    return acc.scale(inv_a0)
 
 
 class RingCoords:

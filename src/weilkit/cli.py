@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 from dataclasses import replace
@@ -123,11 +124,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if not 0 <= args.seed <= MAX_SEED:
             raise ConfigError("--seed must be an unsigned 64-bit integer")
         config = replace(config, seed=args.seed)
+    out = Path(args.out)  # checked before any suite runs, written only at the end
+    if out.is_dir() or not (out.parent.is_dir() and os.access(out.parent, os.W_OK)):
+        what = "is a directory" if out.is_dir() else "has no writable parent directory"
+        raise ConfigError(f"cannot write report to {args.out}: it {what}")
     started = time.monotonic()
     report = run_suite(config)
     elapsed = time.monotonic() - started
     try:
-        Path(args.out).write_text(render_report(report))
+        out.write_text(render_report(report))
     except OSError as exc:
         raise ConfigError(f"cannot write report to {args.out}: {exc.strerror}") from exc
     # wall time is real but goes to stderr: the report file itself is

@@ -36,6 +36,7 @@ from .algebras import (
     WeilMorphism,
     apply_morphism,
     elements_close,
+    geometric_inverse,
     identity_morphism,
     tensor,
     tensor_join,
@@ -538,20 +539,12 @@ class NestedElement(RingCoords):
             return Fraction(0) if self.mode == RATIONAL else 0.0
         return c.augmentation()
 
+    def nilpotent_part(self) -> "NestedElement":
+        return self.sub(nested_const(self.outer, self.scalars, self.augmentation(), self.mode))
+
     def inverse(self) -> "NestedElement":
-        a0 = self.augmentation()
-        if a0 == 0:
-            raise DomainError("element with zero augmentation has no inverse")
-        one_over = (Fraction(1) / a0) if self.mode == RATIONAL else 1.0 / a0
-        count = self.series_order
-        coeffs = [one_over]
-        for _ in range(count - 1):
-            coeffs.append(-coeffs[-1] * one_over)
-        nil = self.sub(nested_const(self.outer, self.scalars, a0, self.mode))
-        acc = nested_const(self.outer, self.scalars, coeffs[-1], self.mode)
-        for c in reversed(coeffs[:-1]):
-            acc = acc.mul(nil).add(nested_const(self.outer, self.scalars, c, self.mode))
-        return acc
+        one = nested_const(self.outer, self.scalars, 1, self.mode)
+        return geometric_inverse(self, one, self.series_order)
 
 
 def nested_const(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 from .algebras import (
     RATIONAL,
@@ -30,8 +30,12 @@ from .polynomials import (
 )
 
 
+def case_label(seed: int, suite: str, index: int) -> str:
+    return f"{seed}:{suite}:{index}"
+
+
 def case_rng(seed: int, suite: str, index: int) -> random.Random:
-    return random.Random(f"{seed}:{suite}:{index}")
+    return random.Random(case_label(seed, suite, index))
 
 
 def random_fraction(rng: random.Random, max_num: int = 9, max_den: int = 4) -> Fraction:
@@ -46,14 +50,10 @@ def random_element(
     algebra: WeilAlgebra,
     mode: str = RATIONAL,
     max_terms: int = 6,
-    invertible: bool = False,
     base_point: bool = False,
 ) -> WeilElement:
-    """Sparse element with small rational coordinates.
-
-    `invertible` forces a nonzero augmentation; `base_point` forces a
-    zero one (a purely nilpotent element).
-    """
+    """Sparse element with small rational coordinates; `base_point`
+    forces a zero augmentation (a purely nilpotent element)."""
     count = rng.randint(1, min(max_terms, algebra.dimension))
     chosen = rng.sample(range(algebra.dimension), count)
     coords = {}
@@ -62,9 +62,6 @@ def random_element(
         if base_point and not any(mono):
             continue
         coords[mono] = random_fraction(rng)
-    unit = algebra.basis[0]
-    if invertible and unit not in coords:
-        coords[unit] = random_fraction(rng)
     element = algebra.element(coords)
     return element.to_real() if mode != RATIONAL else element
 
@@ -169,11 +166,10 @@ def random_morphism(
     rng: random.Random,
     source: WeilAlgebra,
     target: WeilAlgebra,
-    attempts: int = 25,
 ) -> WeilMorphism:
-    """Rejection-sampled valid morphism; the zero morphism is the
-    always-valid fallback."""
-    for _ in range(attempts):
+    """Rejection-sampled valid morphism in 25 attempts; the zero morphism
+    is the always-valid fallback."""
+    for _ in range(25):
         psibar = []
         for _ in range(source.nvars):
             if rng.random() < 0.15:

@@ -1,10 +1,10 @@
 """Seeded property-suite runner.
 
-Each suite draws case `i` from `case_rng(seed, suite, i)`, so the
-`case` string attached to every witness is enough to replay the exact
-algebras, elements, and maps involved.  The runner aggregates the
-reports into the canonical serialized form from `reports` and never
-prints anything itself.
+Each suite is one case function run by `_suite`'s loop, which seeds
+case `i` from its label `seed:suite:i`, so the `case` string attached to
+every witness is enough to replay the exact algebras, elements, and maps
+involved.  The runner aggregates the reports into the canonical
+serialized form from `reports` and never prints anything itself.
 
 The configured `degree_bound` governs carrier enumeration sizes.  The
 conjecture probe hands `induced_action` a larger allowance (substitution
@@ -57,7 +57,7 @@ from .lifting import (
 )
 from .reports import Report, SuiteReport
 from .samplers import (
-    case_rng,
+    case_label,
     random_element,
     random_fraction,
     random_morphism,
@@ -269,240 +269,242 @@ def _pick_algebra(
     return random_weil_algebra(rng)
 
 
-def _case_label(seed: int, suite: str, index: int) -> str:
-    return f"{seed}:{suite}:{index}"
-
-
 # ---------------------------------------------------------------------------
-# the suites
+# the suites: one case function each, run by `_suite`'s loop
+
+REGISTRY: Dict[str, Callable[[SuiteConfig], SuiteReport]] = {}
 
 
-def _suite_ring_laws(config: SuiteConfig) -> SuiteReport:
-    report = SuiteReport("ring-laws")
-    seen = set()
-    for i in range(config.count("ring-laws")):
-        rng = case_rng(config.seed, "ring-laws", i)
-        label = _case_label(config.seed, "ring-laws", i)
-        algebra = _pick_algebra(rng, config)
-        seen.add(algebra)
-        a = random_element(rng, algebra)
-        b = random_element(rng, algebra)
-        c = random_element(rng, algebra)
-        factor = random_fraction(rng)
-        checks = {
-            "add-commutes": a.add(b) == b.add(a),
-            "mul-commutes": a.mul(b) == b.mul(a),
-            "mul-associates": a.mul(b.mul(c)) == a.mul(b).mul(c),
-            "distributes": a.mul(b.add(c)) == a.mul(b).add(a.mul(c)),
-            "unit": algebra.one().mul(a) == a,
-            "sub-cancels": a.sub(a) == algebra.zero(),
-            "scale-matches-const": a.scale(factor) == algebra.const(factor).mul(a),
-            "augmentation-multiplicative": a.mul(b).augmentation()
-            == a.augmentation() * b.augmentation(),
-        }
-        report.record_case(
-            all(checks.values()),
-            {
-                "case": label,
-                "algebra": repr(algebra),
-                "elements": [a.format(), b.format(), c.format()],
-                "failed": sorted(k for k, v in checks.items() if not v),
-            },
+def _suite(name: str, case: Callable[..., Any], summary: Optional[Callable] = None):
+    """Register and return suite `name`, whose loop is the only one over
+    case indices: `case(report, config, rng, label, index)` records case
+    `index`, labelled `seed:name:index` and drawn from an rng seeded from
+    that label.  `summary(report, results)` returns suite-level fields."""
+
+    def run(config: SuiteConfig) -> SuiteReport:
+        report = SuiteReport(name)
+        results = []
+        for index in range(config.count(name)):
+            label = case_label(config.seed, name, index)
+            results.append(case(report, config, random.Random(label), label, index))
+        if summary is not None:
+            report.extra.update(summary(report, results))
+        return report
+
+    REGISTRY[name] = run
+    return run
+
+
+def _ring_laws_case(report, config, rng, label, index):
+    algebra = _pick_algebra(rng, config)
+    a = random_element(rng, algebra)
+    b = random_element(rng, algebra)
+    c = random_element(rng, algebra)
+    factor = random_fraction(rng)
+    checks = {
+        "add-commutes": a.add(b) == b.add(a),
+        "mul-commutes": a.mul(b) == b.mul(a),
+        "mul-associates": a.mul(b.mul(c)) == a.mul(b).mul(c),
+        "distributes": a.mul(b.add(c)) == a.mul(b).add(a.mul(c)),
+        "unit": algebra.one().mul(a) == a,
+        "sub-cancels": a.sub(a) == algebra.zero(),
+        "scale-matches-const": a.scale(factor) == algebra.const(factor).mul(a),
+        "augmentation-multiplicative": a.mul(b).augmentation()
+        == a.augmentation() * b.augmentation(),
+    }
+    report.record_case(
+        all(checks.values()),
+        {
+            "case": label,
+            "algebra": repr(algebra),
+            "elements": [a.format(), b.format(), c.format()],
+            "failed": sorted(k for k, v in checks.items() if not v),
+        },
+    )
+    return algebra
+
+
+_suite_ring_laws = _suite(
+    "ring-laws",
+    _ring_laws_case,
+    lambda report, algebras: {"distinct_algebras": len(set(algebras))},
+)
+
+
+def _morphism_laws_case(report, config, rng, label, index):
+    w1 = _pick_algebra(rng, config)
+    w2 = _pick_algebra(rng, config)
+    w3 = _pick_algebra(rng, config)
+    psi = random_morphism(rng, w1, w2)
+    chi = random_morphism(rng, w2, w3)
+    a = random_element(rng, w1)
+    b = random_element(rng, w1)
+    ident = identity_morphism(w1)
+    checks = {
+        "additive": apply_morphism(psi, a.add(b))
+        == apply_morphism(psi, a).add(apply_morphism(psi, b)),
+        "multiplicative": apply_morphism(psi, a.mul(b))
+        == apply_morphism(psi, a).mul(apply_morphism(psi, b)),
+        "unital": apply_morphism(psi, w1.one()) == w2.one(),
+        "augmentation-preserving": apply_morphism(psi, a).augmentation()
+        == a.augmentation(),
+        "identity-acts-trivially": apply_morphism(ident, a) == a,
+        "compose-staged": apply_morphism(compose_morphism(psi, chi), a)
+        == apply_morphism(chi, apply_morphism(psi, a)),
+    }
+    report.record_case(
+        all(checks.values()),
+        {
+            "case": label,
+            "morphism": repr(psi),
+            "element": a.format(),
+            "failed": sorted(k for k, v in checks.items() if not v),
+        },
+    )
+
+
+_suite_morphism_laws = _suite("morphism-laws", _morphism_laws_case)
+
+
+def _lifting_laws_case(report, config, rng, label, index):
+    algebra = _pick_algebra(rng, config)
+    n1 = rng.randint(1, 2)
+    n2 = rng.randint(1, 2)
+    n3 = rng.randint(1, 2)
+    float_case = index % 3 == 2
+    if float_case:
+        f = random_smooth_map(rng, n1, n2, max_degree=2)
+        g = random_smooth_map(rng, n2, n3, max_degree=2)
+        point = random_point(rng, algebra, n1, mode=REAL, max_terms=3)
+    else:
+        f = random_poly_map(rng, n1, n2, max_degree=2)
+        g = random_poly_map(rng, n2, n3, max_degree=2)
+        point = random_point(rng, algebra, n1, max_terms=3)
+    staged = taylor_lift(g, algebra, taylor_lift(f, algebra, point))
+    joint = taylor_lift(compose_maps(g, f), algebra, point)
+    if float_case:
+        compose_ok = all(elements_close(x, y) for x, y in zip(joint, staged))
+    else:
+        compose_ok = joint == staged
+    identity_ok = taylor_lift(identity_map(n1), algebra, point) == point
+    report.record_case(
+        compose_ok and identity_ok,
+        {
+            "case": label,
+            "algebra": repr(algebra),
+            "inner": repr(f),
+            "outer": repr(g),
+            "point": [v.format() for v in point],
+            "compose": compose_ok,
+            "identity": identity_ok,
+        },
+    )
+
+
+_suite_lifting_laws = _suite("lifting-laws", _lifting_laws_case)
+
+
+def _naturality_case(report, config, rng, label, index):
+    w1 = _pick_algebra(rng, config)
+    w2 = _pick_algebra(rng, config)
+    psi = random_morphism(rng, w1, w2)
+    arity = rng.randint(1, 2)
+    coarity = rng.randint(1, 2)
+    if index % 3 == 2:
+        phi = random_smooth_map(rng, arity, coarity, max_degree=2)
+    else:
+        phi = random_poly_map(rng, arity, coarity, max_degree=2)
+    report.merge(check_naturality(phi, psi, samples=3, rng=rng, label=label))
+
+
+_suite_naturality = _suite("naturality", _naturality_case)
+
+
+def _product_preservation_case(report, config, rng, label, index):
+    algebra = _pick_algebra(rng, config, small=True)
+    p = rng.randint(1, 2)
+    q = rng.randint(1, 2)
+    f = random_poly_map(rng, algebra.nvars, p + q, max_degree=2)
+    report.merge(
+        check_product_preservation(
+            Euclidean(p), Euclidean(q), algebra, f, samples=2, rng=rng, label=label
         )
-    report.extra["distinct_algebras"] = len(seen)
-    return report
+    )
 
 
-def _suite_morphism_laws(config: SuiteConfig) -> SuiteReport:
-    report = SuiteReport("morphism-laws")
-    for i in range(config.count("morphism-laws")):
-        rng = case_rng(config.seed, "morphism-laws", i)
-        label = _case_label(config.seed, "morphism-laws", i)
-        w1 = _pick_algebra(rng, config)
-        w2 = _pick_algebra(rng, config)
-        w3 = _pick_algebra(rng, config)
-        psi = random_morphism(rng, w1, w2)
-        chi = random_morphism(rng, w2, w3)
-        a = random_element(rng, w1)
-        b = random_element(rng, w1)
-        ident = identity_morphism(w1)
-        checks = {
-            "additive": apply_morphism(psi, a.add(b))
-            == apply_morphism(psi, a).add(apply_morphism(psi, b)),
-            "multiplicative": apply_morphism(psi, a.mul(b))
-            == apply_morphism(psi, a).mul(apply_morphism(psi, b)),
-            "unital": apply_morphism(psi, w1.one()) == w2.one(),
-            "augmentation-preserving": apply_morphism(psi, a).augmentation()
-            == a.augmentation(),
-            "identity-acts-trivially": apply_morphism(ident, a) == a,
-            "compose-staged": apply_morphism(compose_morphism(psi, chi), a)
-            == apply_morphism(chi, apply_morphism(psi, a)),
-        }
-        report.record_case(
-            all(checks.values()),
-            {
-                "case": label,
-                "morphism": repr(psi),
-                "element": a.format(),
-                "failed": sorted(k for k, v in checks.items() if not v),
-            },
-        )
-    return report
+_suite_product_preservation = _suite("product-preservation", _product_preservation_case)
 
 
-def _suite_lifting_laws(config: SuiteConfig) -> SuiteReport:
-    report = SuiteReport("lifting-laws")
-    for i in range(config.count("lifting-laws")):
-        rng = case_rng(config.seed, "lifting-laws", i)
-        label = _case_label(config.seed, "lifting-laws", i)
-        algebra = _pick_algebra(rng, config)
-        n1 = rng.randint(1, 2)
-        n2 = rng.randint(1, 2)
-        n3 = rng.randint(1, 2)
-        float_case = i % 3 == 2
-        if float_case:
-            f = random_smooth_map(rng, n1, n2, max_degree=2)
-            g = random_smooth_map(rng, n2, n3, max_degree=2)
-            point = random_point(rng, algebra, n1, mode=REAL, max_terms=3)
-        else:
-            f = random_poly_map(rng, n1, n2, max_degree=2)
-            g = random_poly_map(rng, n2, n3, max_degree=2)
-            point = random_point(rng, algebra, n1, max_terms=3)
-        staged = taylor_lift(g, algebra, taylor_lift(f, algebra, point))
-        joint = taylor_lift(compose_maps(g, f), algebra, point)
-        if float_case:
-            compose_ok = all(elements_close(x, y) for x, y in zip(joint, staged))
-        else:
-            compose_ok = joint == staged
-        identity_ok = taylor_lift(identity_map(n1), algebra, point) == point
-        report.record_case(
-            compose_ok and identity_ok,
-            {
-                "case": label,
-                "algebra": repr(algebra),
-                "inner": repr(f),
-                "outer": repr(g),
-                "point": [v.format() for v in point],
-                "compose": compose_ok,
-                "identity": identity_ok,
-            },
-        )
-    return report
+def _tensor_associativity_case(report, config, rng, label, index):
+    w1 = _pick_algebra(rng, config, small=True)
+    w2 = _pick_algebra(rng, config, small=True)
+    dim = rng.randint(1, 2)
+    lift = random_poly_map(rng, dim, rng.randint(1, 2), max_degree=2)
+    _, sub = assoc_iso(
+        Euclidean(dim), w1, w2, rng=rng, samples=2, lift_maps=(lift,), label=label
+    )
+    report.merge(sub)
 
 
-def _suite_naturality(config: SuiteConfig) -> SuiteReport:
-    report = SuiteReport("naturality")
-    for i in range(config.count("naturality")):
-        rng = case_rng(config.seed, "naturality", i)
-        label = _case_label(config.seed, "naturality", i)
-        w1 = _pick_algebra(rng, config)
-        w2 = _pick_algebra(rng, config)
-        psi = random_morphism(rng, w1, w2)
-        arity = rng.randint(1, 2)
-        coarity = rng.randint(1, 2)
-        if i % 3 == 2:
-            phi = random_smooth_map(rng, arity, coarity, max_degree=2)
-        else:
-            phi = random_poly_map(rng, arity, coarity, max_degree=2)
-        report.merge(check_naturality(phi, psi, samples=3, rng=rng, label=label))
-    return report
+_suite_tensor_associativity = _suite("tensor-associativity", _tensor_associativity_case)
 
 
-def _suite_product_preservation(config: SuiteConfig) -> SuiteReport:
-    report = SuiteReport("product-preservation")
-    for i in range(config.count("product-preservation")):
-        rng = case_rng(config.seed, "product-preservation", i)
-        label = _case_label(config.seed, "product-preservation", i)
-        algebra = _pick_algebra(rng, config, small=True)
-        p = rng.randint(1, 2)
-        q = rng.randint(1, 2)
-        f = random_poly_map(rng, algebra.nvars, p + q, max_degree=2)
-        report.merge(
-            check_product_preservation(
-                Euclidean(p), Euclidean(q), algebra, f, samples=2, rng=rng, label=label
-            )
-        )
-    return report
+def _currying_case(report, config, rng, label, index):
+    n = rng.choice(config.grid_n)
+    m = rng.choice(config.grid_m)
+    inner = _pick_algebra(rng, config, small=True)
+    outer = _pick_algebra(rng, config, small=True)
+    degree = min(config.degree_bound, 2)
+    _, sub = curry_iso(
+        rng.randint(1, 2), n, m, inner, outer, degree, rng=rng, samples=3,
+        label=label,
+    )
+    report.merge(sub)
 
 
-def _suite_tensor_associativity(config: SuiteConfig) -> SuiteReport:
-    report = SuiteReport("tensor-associativity")
-    for i in range(config.count("tensor-associativity")):
-        rng = case_rng(config.seed, "tensor-associativity", i)
-        label = _case_label(config.seed, "tensor-associativity", i)
-        w1 = _pick_algebra(rng, config, small=True)
-        w2 = _pick_algebra(rng, config, small=True)
-        dim = rng.randint(1, 2)
-        lift = random_poly_map(rng, dim, rng.randint(1, 2), max_degree=2)
-        _, sub = assoc_iso(
-            Euclidean(dim), w1, w2, rng=rng, samples=2, lift_maps=(lift,), label=label
-        )
-        report.merge(sub)
-    return report
+_suite_currying = _suite("currying", _currying_case)
 
 
-def _suite_currying(config: SuiteConfig) -> SuiteReport:
-    report = SuiteReport("currying")
-    for i in range(config.count("currying")):
-        rng = case_rng(config.seed, "currying", i)
-        label = _case_label(config.seed, "currying", i)
-        n = rng.choice(config.grid_n)
-        m = rng.choice(config.grid_m)
-        inner = _pick_algebra(rng, config, small=True)
-        outer = _pick_algebra(rng, config, small=True)
-        degree = min(config.degree_bound, 2)
-        _, sub = curry_iso(
-            rng.randint(1, 2), n, m, inner, outer, degree, rng=rng, samples=3,
+def _pairing_case(report, config, rng, label, index):
+    algebra = _pick_algebra(rng, config, small=True)
+    n = rng.choice([v for v in config.grid_n if v > 0] or [1])
+    p = rng.randint(1, 2)
+    q = rng.randint(1, 2)
+    report.merge(
+        check_product_splitting(
+            Euclidean(p),
+            Euclidean(q),
+            Domain(n, algebra),
+            min(config.degree_bound, 2),
+            samples=2,
+            rng=rng,
             label=label,
         )
-        report.merge(sub)
-    return report
+    )
 
 
-def _suite_pairing(config: SuiteConfig) -> SuiteReport:
-    report = SuiteReport("pairing")
-    for i in range(config.count("pairing")):
-        rng = case_rng(config.seed, "pairing", i)
-        label = _case_label(config.seed, "pairing", i)
-        algebra = _pick_algebra(rng, config, small=True)
-        n = rng.choice([v for v in config.grid_n if v > 0] or [1])
-        p = rng.randint(1, 2)
-        q = rng.randint(1, 2)
-        report.merge(
-            check_product_splitting(
-                Euclidean(p),
-                Euclidean(q),
-                Domain(n, algebra),
-                min(config.degree_bound, 2),
-                samples=2,
-                rng=rng,
-                label=label,
-            )
+_suite_pairing = _suite("pairing", _pairing_case)
+
+
+def _coproduct_currying_case(report, config, rng, label, index):
+    inner = _pick_algebra(rng, config, small=True)
+    outer = _pick_algebra(rng, config, small=True)
+    n = rng.choice(config.grid_n)
+    m = rng.choice(config.grid_m)
+    report.merge(
+        check_coproduct_currying(
+            Euclidean(rng.randint(1, 2)),
+            Domain(n, inner),
+            Domain(m, outer),
+            min(config.degree_bound, 2),
+            samples=2,
+            rng=rng,
+            label=label,
         )
-    return report
+    )
 
 
-def _suite_coproduct_currying(config: SuiteConfig) -> SuiteReport:
-    report = SuiteReport("coproduct-currying")
-    for i in range(config.count("coproduct-currying")):
-        rng = case_rng(config.seed, "coproduct-currying", i)
-        label = _case_label(config.seed, "coproduct-currying", i)
-        inner = _pick_algebra(rng, config, small=True)
-        outer = _pick_algebra(rng, config, small=True)
-        n = rng.choice(config.grid_n)
-        m = rng.choice(config.grid_m)
-        report.merge(
-            check_coproduct_currying(
-                Euclidean(rng.randint(1, 2)),
-                Domain(n, inner),
-                Domain(m, outer),
-                min(config.degree_bound, 2),
-                samples=2,
-                rng=rng,
-                label=label,
-            )
-        )
-    return report
+_suite_coproduct_currying = _suite("coproduct-currying", _coproduct_currying_case)
 
 
 def _random_shape(rng: random.Random, config: SuiteConfig):
@@ -522,67 +524,46 @@ def _random_wpoint(rng: random.Random, space) -> tuple:
     return tuple(random_fraction(rng) for _ in range(space.dim))
 
 
-def _suite_functor_actions(config: SuiteConfig) -> SuiteReport:
-    report = SuiteReport("functor-actions")
-    for i in range(config.count("functor-actions")):
-        rng = case_rng(config.seed, "functor-actions", i)
-        label = _case_label(config.seed, "functor-actions", i)
-        w1 = _pick_algebra(rng, config, small=True)
-        w2 = _pick_algebra(rng, config, small=True)
-        w3 = _pick_algebra(rng, config, small=True)
-        psi = random_morphism(rng, w1, w2)
-        chi = random_morphism(rng, w2, w3)
-        shape = _random_shape(rng, config)
-        source_space = prolong_space(shape, w1)
-        point = WPoint(source_space, _random_wpoint(rng, source_space))
-        identity_ok = cross_action(shape, identity_morphism(w1))(point) == point
-        staged = cross_action(shape, chi)(cross_action(shape, psi)(point))
-        joint = cross_action(shape, compose_morphism(psi, chi))(point)
-        report.record_case(
-            identity_ok and staged == joint,
-            {
-                "case": label,
-                "shape": repr(shape),
-                "first": repr(psi),
-                "second": repr(chi),
-                "identity": identity_ok,
-                "compose": staged == joint,
-            },
-        )
-    return report
+def _functor_actions_case(report, config, rng, label, index):
+    w1 = _pick_algebra(rng, config, small=True)
+    w2 = _pick_algebra(rng, config, small=True)
+    w3 = _pick_algebra(rng, config, small=True)
+    psi = random_morphism(rng, w1, w2)
+    chi = random_morphism(rng, w2, w3)
+    shape = _random_shape(rng, config)
+    source_space = prolong_space(shape, w1)
+    point = WPoint(source_space, _random_wpoint(rng, source_space))
+    identity_ok = cross_action(shape, identity_morphism(w1))(point) == point
+    staged = cross_action(shape, chi)(cross_action(shape, psi)(point))
+    joint = cross_action(shape, compose_morphism(psi, chi))(point)
+    report.record_case(
+        identity_ok and staged == joint,
+        {
+            "case": label,
+            "shape": repr(shape),
+            "first": repr(psi),
+            "second": repr(chi),
+            "identity": identity_ok,
+            "compose": staged == joint,
+        },
+    )
 
 
-def _suite_conjecture_probe(config: SuiteConfig) -> SuiteReport:
-    report = SuiteReport("conjecture-probe")
-    outcome = "evidence-for"
+_suite_functor_actions = _suite("functor-actions", _functor_actions_case)
+
+
+def _conjecture_probe_case(report, config, rng, label, index):
+    space = Euclidean(rng.randint(1, 2))
     allowance = max(config.degree_bound, 2) * 16
-    for i in range(config.count("conjecture-probe")):
-        rng = case_rng(config.seed, "conjecture-probe", i)
-        label = _case_label(config.seed, "conjecture-probe", i)
-        sub = probe_functoriality(
-            Euclidean(rng.randint(1, 2)), allowance, samples=1, rng=rng, label=label
-        )
-        if sub.extra.get("outcome") == "counterexample":
-            outcome = "counterexample"
-        sub.extra = {}
-        report.merge(sub)
-    report.extra["outcome"] = outcome
-    return report
+    report.merge(probe_functoriality(space, allowance, samples=1, rng=rng, label=label))
 
 
-REGISTRY: Dict[str, Callable[[SuiteConfig], SuiteReport]] = {
-    "ring-laws": _suite_ring_laws,
-    "morphism-laws": _suite_morphism_laws,
-    "lifting-laws": _suite_lifting_laws,
-    "naturality": _suite_naturality,
-    "product-preservation": _suite_product_preservation,
-    "tensor-associativity": _suite_tensor_associativity,
-    "currying": _suite_currying,
-    "pairing": _suite_pairing,
-    "coproduct-currying": _suite_coproduct_currying,
-    "functor-actions": _suite_functor_actions,
-    "conjecture-probe": _suite_conjecture_probe,
-}
+# the rule `probe_functoriality` uses: any failed case is a counterexample
+_suite_conjecture_probe = _suite(
+    "conjecture-probe",
+    _conjecture_probe_case,
+    lambda report, _: {"outcome": "counterexample" if report.failures else "evidence-for"},
+)
 
 
 def run_suite(config: SuiteConfig) -> Report:

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import weilkit
+from weilkit import suites
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
@@ -88,3 +89,11 @@ def test_workload_name_resolves(path):
         owner = getattr(owner, part)
     # a module on the way to a name (wk.expressions) is a handle, not a call
     assert isinstance(owner, types.ModuleType) or callable(owner), f"weilkit.{path}"
+
+
+def test_registry_holds_the_traced_suite_objects():
+    # the tracer wraps ``suites._suite_<name>`` and rebinds every dict
+    # value that is the same object, so run_suite's REGISTRY lookup is
+    # timed only while the two are one object
+    for name in suites.DEFAULT_CASES:
+        assert suites.REGISTRY[name] is vars(suites)["_suite_" + name.replace("-", "_")]

@@ -135,6 +135,26 @@ class TestConfigParsing:
             load_config(bad)
 
 
+def collapse_composition(first, second):
+    """A sabotaged `compose_domain_morphisms`: every composite is zero."""
+    target = second.target
+    zero = wpoly_zero(target.base_arity, target.weil)
+    return DomainMorphism(
+        first.source,
+        target,
+        [zero] * first.source.base_arity,
+        [zero] * first.source.weil.nvars,
+    )
+
+
+def sabotaged_probe(cases):
+    with mock.patch("weilkit.funcalg.compose_domain_morphisms", collapse_composition):
+        (probe,) = run_suite(
+            small_config(seed=13, suites=["conjecture-probe"], cases=cases)
+        ).suites
+    return probe
+
+
 class TestRunSuite:
     def test_empty_suite_list_passes(self):
         config = small_config(suites=[])
@@ -167,6 +187,19 @@ class TestRunSuite:
         (probe,) = report.suites
         assert probe.extra["outcome"] == "evidence-for"
         assert probe.failures == 0
+
+    def test_sabotaged_probe_suite_reports_counterexample(self):
+        probe = sabotaged_probe(cases=6)
+        assert probe.failures > 0
+        assert probe.extra["outcome"] == "counterexample"
+
+    def test_cases_do_not_depend_on_the_case_count(self):
+        def first_three(probe):
+            return [w for w in probe.witnesses if int(w["case"].rsplit(":", 1)[1]) < 3]
+
+        three = first_three(sabotaged_probe(cases=3))
+        assert three, "sabotage should fail one of the first three cases"
+        assert first_three(sabotaged_probe(cases=6)) == three
 
     def test_wall_ms_is_pinned(self):
         record = run_suite(small_config(suites=[])).to_record()
@@ -518,6 +551,20 @@ class TestCliVerify:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write report to {out}")
         assert "Traceback" not in err and len(err.splitlines()) == 1
+
+    def test_unwritable_report_path_exits_2_before_any_suite(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def never(config):
+            raise AssertionError("a suite ran before the report path was checked")
+
+        monkeypatch.setitem(REGISTRY, "ring-laws", never)
+        config = self.write_config(tmp_path, suites=["ring-laws"])
+        for out in (tmp_path / "absent" / "report.json", tmp_path):
+            assert main(["verify", "--config", str(config), "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: cannot write report to {out}")
+            assert len(err.splitlines()) == 1
 
     def test_float_overflow_exits_3(self, tmp_path, capsys):
         # at seed 3 a real-mode lift in lifting-laws leaves the float range
