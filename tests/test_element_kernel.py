@@ -28,7 +28,7 @@ from weilkit.algebras import (
     real_line_algebra,
     tensor,
 )
-from weilkit.errors import DomainError
+from weilkit.errors import DomainError, ScalarModeError
 from weilkit.expressions import parse_smooth_map
 from weilkit.lifting import taylor_lift_at
 from weilkit.polynomials import Monomial
@@ -194,25 +194,30 @@ def test_structure_constant_beyond_float_range_is_a_domain_error():
 
 
 # ---------------------------------------------------------------------------
-# real-mode bits of the corpus lifts
+# exact corpus lifts
 
-# sha256 of the float.hex coordinates of every real-mode corpus lift over
-# jet_algebra(2, 4, 8, 16), as computed by the sparse kernel; it holds
-# until real-mode results are checked against an accuracy bound instead
-CORPUS_REAL_SHA256 = "6573a7c6707ccb437022683a926978be0d69e02c15168dd8b6bb552b83ce39bc"
+# sha256 of the coordinates of every corpus lift over jet_algebra(2, 4, 8,
+# 12, 16) that rational mode computes, at each point read as a Fraction.
+# Exact results must never move; real-mode lifts are held to an accuracy
+# bound against mpmath instead (test_accuracy.py)
+CORPUS_EXACT_SHA256 = "97d4f07e3c0ed9b0bbcc79fc748d7d596420983aa6a25b0583f4bb293a829868"
 
 
-def test_real_corpus_lifts_keep_their_bits():
+def test_exact_corpus_lifts_keep_their_values():
     digest = hashlib.sha256()
-    lifts = 0
-    for order in (2, 4, 8, 16):
+    lifts = irrational = 0
+    for order in (2, 4, 8, 12, 16):
         w = jet_algebra(order)
         for text, points in CORPUS:
             f = parse_smooth_map(text, arity=1)
             for p in points:
-                (v,) = taylor_lift_at(f, w, [p], REAL)
-                coords = " ".join(f"{m.exponents[0]}:{c.hex()}" for m, c in v.coords.items())
+                try:
+                    (v,) = taylor_lift_at(f, w, [Fraction(p)], RATIONAL)
+                except ScalarModeError:
+                    irrational += 1
+                    continue
+                coords = " ".join(f"{m[0]}:{c}" for m, c in v.coords.items())
                 digest.update(f"{order}|{text}|{p!r}|{coords}\n".encode())
                 lifts += 1
-    assert lifts == 432
-    assert digest.hexdigest() == CORPUS_REAL_SHA256
+    assert (lifts, irrational) == (205, 335)
+    assert digest.hexdigest() == CORPUS_EXACT_SHA256
