@@ -24,6 +24,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, isqrt
+from operator import mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .algebras import (
@@ -34,6 +35,7 @@ from .algebras import (
     WeilAlgebra,
     WeilElement,
     WeilMorphism,
+    _real,
     apply_morphism,
     elements_close,
     geometric_inverse,
@@ -159,6 +161,62 @@ def _real_coefficients(fn: str, a: float, count: int) -> List[float]:
 
 
 # ---------------------------------------------------------------------------
+# Taylor-series recurrences over one-variable algebras
+#
+# A one-variable algebra is R[t]/(t^d): its ideal contains t^order, so it
+# is generated by the lowest power of t it contains, and the basis is
+# 1, t, ..., t^(d-1).  A real element is then the coefficient list u of a
+# power series truncated at degree d, and each primitive of it follows
+# from one O(d^2) recurrence (Griewank & Walther, Evaluating Derivatives,
+# 2nd ed., ch. 13) where Horner spends d general products.
+
+
+def _one_variable_real(value) -> bool:
+    return type(value) is WeilElement and value.mode == REAL and value.algebra.nvars == 1
+
+
+def _primitive_series(fn: str, u: List[float]) -> List[float]:
+    """Coefficients of fn(u) for a truncated power series u; the first
+    one comes from ``taylor_coefficients``, which also rejects points
+    outside the domain or float range."""
+    y0 = taylor_coefficients(fn, u[0], 1, REAL)[0]
+    y, d = [y0], len(u)
+    du = [i * c for i, c in enumerate(u)]  # t * u'
+    if fn == "exp":
+        for j in range(1, d):
+            y.append(sum(map(mul, du[1 : j + 1], y[::-1])) / j)
+    elif fn in ("sin", "cos"):
+        s, c = [math.sin(u[0])], [math.cos(u[0])]
+        for j in range(1, d):
+            window = du[1 : j + 1]
+            s_j = sum(map(mul, window, c[::-1])) / j
+            c.append(-sum(map(mul, window, s[::-1])) / j)
+            s.append(s_j)
+        y = s if fn == "sin" else c
+    elif fn == "log":
+        dy = [0.0]  # t * y'
+        for j in range(1, d):
+            y.append((u[j] - sum(map(mul, dy[1:], u[j - 1 : 0 : -1])) / j) / u[0])
+            dy.append(j * y[j])
+    elif fn == "sqrt":
+        for j in range(1, d):
+            y.append((u[j] - sum(map(mul, y[1:], y[j - 1 : 0 : -1]))) / (2 * y0))
+    else:
+        raise ValueError(f"unknown primitive {fn!r}")
+    return y
+
+
+def _quotient_series(a: List[float], b: List[float]) -> List[float]:
+    """Coefficients of a / b for truncated power series, b_0 nonzero."""
+    if b[0] == 0:
+        raise DomainError("element with zero augmentation is not invertible")
+    y = []
+    for j in range(len(a)):
+        y.append((a[j] - sum(map(mul, b[1 : j + 1], y[::-1]))) / b[0])
+    return y
+
+
+# ---------------------------------------------------------------------------
 # the generic lift evaluator
 
 
@@ -181,7 +239,6 @@ _RING: Dict[type, Callable] = {
     Add: lambda e, a, b: a.add(b),
     Sub: lambda e, a, b: a.sub(b),
     Mul: lambda e, a, b: a.mul(b),
-    Div: lambda e, a, b: a.mul(b.inverse()),
     Neg: lambda e, a: a.neg(),
 }
 
@@ -191,12 +248,20 @@ def lift_expr(e: Expr, args: Sequence, ctx: LiftContext):
     expression shares by reference is lifted once."""
     const = ctx.const
 
+    def quotient(e: Div, a, b):
+        if _one_variable_real(a) and _one_variable_real(b):
+            a._match(b)
+            return _real(b.algebra, _quotient_series(a._v, b._v))
+        return a.mul(b.inverse())
+
     def power(e: Pow, base):
         if e.exponent < 0:
             base = base.inverse()
         return times_power(const(Fraction(1)), base, abs(e.exponent))
 
     def call(e: Call, value):
+        if _one_variable_real(value):
+            return _real(value.algebra, _primitive_series(e.fn, value._v))
         a0 = value.augmentation()
         coeffs = taylor_coefficients(e.fn, a0, ctx.order, ctx.mode)
         nil = value.sub(const(a0))
@@ -206,7 +271,7 @@ def lift_expr(e: Expr, args: Sequence, ctx: LiftContext):
         return acc
 
     leaves = {Const: lambda e: const(e.value), Var: lambda e: args[e.index]}
-    return fold_expr(e, {**_RING, **leaves, Pow: power, Call: call})
+    return fold_expr(e, {**_RING, **leaves, Div: quotient, Pow: power, Call: call})
 
 
 def taylor_lift(
@@ -295,16 +360,16 @@ def class_of(f: SmoothMap, algebra: WeilAlgebra, mode: str = RATIONAL) -> "WPoin
     return WPoint(prolong_space(Euclidean(f.coarity), algebra), values)
 
 
-def equiv_mod(f: SmoothMap, g: SmoothMap, algebra: WeilAlgebra, mode: str = RATIONAL) -> EquivalenceVerdict:
+def equiv_mod(f: SmoothMap, g: SmoothMap, algebra: WeilAlgebra) -> EquivalenceVerdict:
     """f and g agree modulo the ideal iff their canonical representatives
     coincide componentwise; on failure, report the first component that
     differs and the (already reduced) difference."""
     if f.coarity != g.coarity:
         raise AlgebraMismatch("maps with different output counts are never equivalent")
-    cf = class_of(f, algebra, mode).data
-    cg = class_of(g, algebra, mode).data
+    cf = class_of(f, algebra).data
+    cg = class_of(g, algebra).data
     for i, (a, b) in enumerate(zip(cf, cg)):
-        if not (a == b if mode == RATIONAL else elements_close(a, b)):
+        if a != b:
             return EquivalenceVerdict(False, i, a.sub(b))
     return EquivalenceVerdict(True)
 
@@ -556,11 +621,11 @@ def nested_const(
     return NestedElement(outer, scalars, coords, mode)
 
 
-def nested_context(outer: WeilAlgebra, scalars: WeilAlgebra, mode: str = RATIONAL) -> LiftContext:
+def nested_context(outer: WeilAlgebra, scalars: WeilAlgebra) -> LiftContext:
     return LiftContext(
-        lambda c: nested_const(outer, scalars, c, mode),
+        lambda c: nested_const(outer, scalars, c, RATIONAL),
         outer.order + scalars.order - 1,
-        mode,
+        RATIONAL,
     )
 
 
@@ -569,9 +634,8 @@ def random_nested(
     outer: WeilAlgebra,
     scalars: WeilAlgebra,
     mode: str = RATIONAL,
-    max_terms: int = 4,
 ) -> NestedElement:
-    count = rng.randint(1, min(max_terms, outer.dimension))
+    count = rng.randint(1, min(4, outer.dimension))
     chosen = rng.sample(range(outer.dimension), count)
     coords = {
         outer.basis[i]: random_element(rng, scalars, mode=mode, max_terms=3)

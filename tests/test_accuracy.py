@@ -108,7 +108,7 @@ def test_real_corpus_lifts_are_within_the_bound():
 
 
 def test_non_jet_one_variable_algebra_is_within_the_bound():
-    # t^3 = t^5 = t^2 * t^3 = ... = 0 below order 6: the quotient is R[t]/(t^3)
+    # t^3 = t^5 = t^2 * t^3 = t^7, which is 0 at order 6: the quotient is R[t]/(t^3)
     w = mk_weil_algebra(WeilPresentation(("t",), ("t^3 - t^5",), 6))
     assert w.dimension == 3 and w.order == 6
     errors = list(univariate_errors(w))

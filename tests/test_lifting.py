@@ -195,6 +195,17 @@ class TestTaylorLift:
         with pytest.raises(DomainError):
             taylor_lift_at(parse_smooth_map("sqrt(t)"), JET2, [F(0)])
 
+    def test_real_domain_errors_over_one_variable_algebras(self):
+        for text, at in (
+            ("log(t)", 0.0), ("log(t)", -1.0), ("sqrt(t)", 0.0), ("1/t", 0.0), ("1/(t - t)", 2.0)
+        ):
+            with pytest.raises(DomainError):
+                taylor_lift_at(parse_smooth_map(text), JET2, [at], REAL)
+        steep = JET3.element({Monomial((1,)): 1e300}, REAL)
+        for text in ("exp(t)", "sin(t)", "cos(t)", "sqrt(1 + t)", "1/(1 + t)"):
+            with pytest.raises(DomainError, match="out of float range"):
+                taylor_lift(parse_smooth_map(text), JET3, [steep])
+
     def test_rational_mode_guards_push_to_fallback(self):
         with pytest.raises(ScalarModeError):
             taylor_lift_at(parse_smooth_map("exp(t)"), DUAL, [F(1)])
