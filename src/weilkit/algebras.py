@@ -401,17 +401,20 @@ class WeilAlgebra:
 
     def from_polynomial(self, poly: Polynomial, mode: str = RATIONAL) -> "WeilElement":
         """Reduce an exact polynomial representative to its element."""
-        nf = self.reduction.normal_form(poly)
+        return self._from_terms(self.reduction.normal_form(poly).terms.items(), mode)
+
+    def _from_terms(self, terms, mode: str) -> "WeilElement":
+        """The element with the given (basis monomial, scalar) terms."""
         index = self.basis_index
-        return self._assemble(
-            [(index[m], self._coerce(c, mode)) for m, c in nf.terms.items()], mode
-        )
+        return self._assemble([(index[m], self._coerce(c, mode)) for m, c in terms], mode)
 
     def var_element(self, index: int, mode: str = RATIONAL) -> "WeilElement":
         """The class of the i-th presentation variable."""
         if not 0 <= index < self.nvars:
             raise ValueError("variable index out of range")
-        return self.from_polynomial(variable(self.nvars, index), mode)
+        # the table holds its normal form; at order 1 it is absent, and 0
+        generator = tuple(int(v == index) for v in range(self.nvars))
+        return self._from_terms(self._mul_table.get(generator, ()), mode)
 
     def basis_element(self, mono: Monomial, mode: str = RATIONAL) -> "WeilElement":
         one: Scalar = Fraction(1) if mode == RATIONAL else 1.0

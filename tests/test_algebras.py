@@ -262,6 +262,20 @@ def test_jet_truncation():
     assert not t.pow_int(4).coords  # t^4 == 0
 
 
+@pytest.mark.parametrize("mode", [RATIONAL, REAL])
+def test_var_element_is_the_reduced_variable(mode):
+    for w in (
+        jet_algebra(5),
+        tensor(jet_algebra(2), jet_algebra(3)),
+        algebra(["x", "y"], ["x^2 - y^3"], 6),
+        algebra(["x", "y"], [], 1),
+    ):
+        for i in range(w.nvars):
+            expected = w.from_polynomial(variable(w.nvars, i), mode)
+            got = w.var_element(i, mode)
+            assert got == expected and got._v == expected._v and got._den == expected._den
+
+
 def test_cusp_product_reduces():
     x = CUSP.var_element(0)
     y = CUSP.var_element(1)
