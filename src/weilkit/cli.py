@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 property failure or inequivalence, 2 usage or
-parse problems (bad flags, malformed expressions, config errors), 3
-semantic rejections (improper ideals, invalid morphisms, domain errors).
+parse problems (bad flags, malformed expressions, config errors, a
+closed standard output), 3 semantic rejections (improper ideals, invalid
+morphisms, domain errors).
 """
 
 from __future__ import annotations
@@ -194,7 +195,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # as Python's SIGPIPE note says: the flush at exit must not raise
+        # again.  Not 1, which would read as a property failure
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: standard output is closed", file=sys.stderr)
+        return 2
     except (ParseError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

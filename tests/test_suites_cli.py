@@ -1,6 +1,7 @@
 """Config parsing, the suite runner, report determinism, and the CLI."""
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -363,6 +364,37 @@ class TestCliCheck:
         )
         assert proc.returncode == 0, proc.stderr
         assert "dimension 7" in proc.stdout
+
+
+def run_with_closed_stdout(*argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "weilkit", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+
+
+class TestClosedStdout:
+    def test_check_exits_2_without_traceback(self):
+        proc = run_with_closed_stdout("check", str(REPO / "configs" / "cusp.json"))
+        assert proc.returncode == 2
+        assert proc.stderr == "error: standard output is closed\n"
+
+    def test_verify_writes_its_report_and_does_not_exit_1(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"suites": ["pairing"], "seed": 3, "cases": 1}))
+        out = tmp_path / "report.json"
+        proc = run_with_closed_stdout("verify", "--config", str(config), "--out", str(out))
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines()[-1] == "error: standard output is closed"
+        assert "Traceback" not in proc.stderr
+        assert json.loads(out.read_text())["suites"][0]["failures"] == 0
 
 
 class TestCliLift:
