@@ -408,13 +408,29 @@ class WeilAlgebra:
         index = self.basis_index
         return self._assemble([(index[m], self._coerce(c, mode)) for m, c in terms], mode)
 
-    def var_element(self, index: int, mode: str = RATIONAL) -> "WeilElement":
-        """The class of the i-th presentation variable."""
+    def _generator_row(self, index: int):
+        """The normal form of the i-th presentation variable, as (basis
+        monomial, rational) pairs; it has no constant term."""
         if not 0 <= index < self.nvars:
             raise ValueError("variable index out of range")
-        # the table holds its normal form; at order 1 it is absent, and 0
-        generator = tuple(int(v == index) for v in range(self.nvars))
-        return self._from_terms(self._mul_table.get(generator, ()), mode)
+        # the table holds it; at order 1 it is absent, and 0
+        return self._mul_table.get(tuple(int(v == index) for v in range(self.nvars)), ())
+
+    def var_element(self, index: int, mode: str = RATIONAL) -> "WeilElement":
+        """The class of the i-th presentation variable."""
+        return self._from_terms(self._generator_row(index), mode)
+
+    def displaced_var(self, index: int, value: Scalar, mode: str = RATIONAL) -> "WeilElement":
+        """value + x_index, the same element as
+        ``const(value, mode).add(var_element(index, mode))`` but assembled
+        once: the value goes at position 0, the generator's row after it."""
+        coerce = self._coerce
+        entries = [(0, coerce(value, mode))]
+        entries += ((self.basis_index[m], coerce(c, mode)) for m, c in self._generator_row(index))
+        if mode == REAL:
+            # the sum adds 0.0 to each entry, which turns a -0.0 into 0.0
+            entries = [(i, c + 0.0) for i, c in entries]
+        return self._assemble(entries, mode)
 
     def basis_element(self, mono: Monomial, mode: str = RATIONAL) -> "WeilElement":
         one: Scalar = Fraction(1) if mode == RATIONAL else 1.0
@@ -699,18 +715,17 @@ class RingCoords:
         return self._new(acc)
 
 
-def scalars_close(a: Scalar, b: Scalar, rel: float = 1e-9, abs_tol: float = 1e-12) -> bool:
+def scalars_close(a: Scalar, b: Scalar) -> bool:
+    """Equal within 1e-9 relative to the larger, or 1e-12 absolute."""
     x, y = float(a), float(b)
-    return abs(x - y) <= max(abs_tol, rel * max(abs(x), abs(y)))
+    return abs(x - y) <= max(1e-12, 1e-9 * max(abs(x), abs(y)))
 
 
-def elements_close(a: WeilElement, b: WeilElement, rel: float = 1e-9, abs_tol: float = 1e-12) -> bool:
-    """Tolerant coordinatewise comparison (modes may differ)."""
+def elements_close(a: WeilElement, b: WeilElement) -> bool:
+    """Coordinatewise ``scalars_close`` (modes may differ)."""
     if a.algebra != b.algebra:
         raise AlgebraMismatch("elements of different algebras")
-    return all(
-        scalars_close(x, y, rel, abs_tol) for x, y in zip(a._floats(), b._floats())
-    )
+    return all(map(scalars_close, a._floats(), b._floats()))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import replace
@@ -188,10 +189,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse takes a value that opens with '-' for an option unless it is a
+# plain negative number such as -1.5; a base point like -3/2 or -1,2 is not
+_NEGATIVE_VALUE = re.compile(r"-\.?\d")
+
+
+def _attach_negative_at(argv: Sequence[str]) -> List[str]:
+    """``--at VALUE`` as ``--at=VALUE`` when VALUE opens with a minus sign
+    and a digit, so that argparse reads it as the value."""
+    out: List[str] = []
+    for arg in argv:
+        if out and out[-1] == "--at" and _NEGATIVE_VALUE.match(arg):
+            out[-1] = f"--at={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_at(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -202,6 +202,7 @@ class _Parser:
         self.pos = 0
         self.depth = 0
         self.nodes = 0
+        self.top_var = -1  # the highest variable index read, -1 for none
 
     def node(self, cls: type, *fields) -> Expr:
         """Build one expression node, counting it against MAX_NODES."""
@@ -330,10 +331,13 @@ class _Parser:
                 self.expect(")")
                 return self.node(Call, name, arg)
             if name.startswith("t") and name[1:].isdigit():
-                return self.node(Var, int(name[1:]))
-            if name in VAR_ALIASES:
-                return self.node(Var, VAR_ALIASES[name])
-            self.error(f"unknown name {name!r}")
+                index = int(name[1:])
+            elif name in VAR_ALIASES:
+                index = VAR_ALIASES[name]
+            else:
+                self.error(f"unknown name {name!r}")
+            self.top_var = max(self.top_var, index)
+            return self.node(Var, index)
         self.error("expected expression")
 
     def expr_list(self) -> List[Expr]:
@@ -364,8 +368,11 @@ class _Parser:
 def parse_smooth_map(text: str, arity: int | None = None) -> SmoothMap:
     if not text.strip():
         raise ParseError("empty expression", 0)
-    outputs = tuple(_Parser(text).expr_list())
-    used = max((max_var_index(o) for o in outputs), default=-1)
+    parser = _Parser(text)
+    outputs = tuple(parser.expr_list())
+    # a parenthesised start that is no tuple is read twice, but its
+    # second reading meets the same variables
+    used = parser.top_var
     if arity is None:
         arity = used + 1
     elif used >= arity:

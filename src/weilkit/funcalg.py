@@ -671,15 +671,15 @@ def random_domain_morphism(
     rng: random.Random,
     source: Domain,
     target: Domain,
-    base_degree: int = 2,
 ) -> DomainMorphism:
-    """Base images are unconstrained carrier polynomials; Weil images are
-    drawn either from a valid Weil-algebra morphism (constant in the base
-    variables) or, by rejection in 15 attempts, from base-dependent
-    candidates with nilpotent coefficients, falling back to a morphism."""
+    """Base images are unconstrained carrier polynomials of base degree at
+    most 2; Weil images are drawn either from a valid Weil-algebra
+    morphism (constant in the base variables) or, by rejection in 15
+    attempts, from base-dependent candidates with nilpotent coefficients,
+    falling back to a morphism."""
     n = target.base_arity
     base_part = [
-        random_weil_poly(rng, target, base_degree, max_terms=3)
+        random_weil_poly(rng, target, 2, max_terms=3)
         for _ in range(source.base_arity)
     ]
 
@@ -691,7 +691,7 @@ def random_domain_morphism(
                 if nil.is_zero():
                     nil = target.weil.var_element(0) if target.weil.nvars else target.weil.zero()
                 poly_factor = (
-                    random_polynomial(rng, n, base_degree, max_terms=2)
+                    random_polynomial(rng, n, 2, max_terms=2)
                     if n
                     else Polynomial(0, {unit_monomial(0): Fraction(1)})
                 )

@@ -247,6 +247,9 @@ def lift_expr(e: Expr, args: Sequence, ctx: LiftContext):
     """The lift of one expression at ``args``; a node that the
     expression shares by reference is lifted once."""
     const = ctx.const
+    # id(x) -> [x, x^2, ...] for each base value of this lift; the list
+    # holds x, so the id stays x's for as long as the fold's node memo
+    powers: Dict[int, list] = {}
 
     def quotient(e: Div, a, b):
         if _one_variable_real(a) and _one_variable_real(b):
@@ -255,9 +258,21 @@ def lift_expr(e: Expr, args: Sequence, ctx: LiftContext):
         return a.mul(b.inverse())
 
     def power(e: Pow, base):
-        if e.exponent < 0:
-            base = base.inverse()
-        return times_power(const(Fraction(1)), base, abs(e.exponent))
+        """base^n, multiplied as times_power(1, base, n) does, with the
+        powers of one base value shared within the lift: base^k =
+        base^(k-1)·base, from base itself, which differs from 1·base only
+        in the sign of zero coordinates, and a product reads only the
+        nonzero ones.  The list stops at its first zero power."""
+        n = e.exponent
+        if n < 0:
+            base, n = base.inverse(), -n
+        if n < 2:
+            # 1·base has base's nonzero coordinates, but a zero one reads +0.0
+            return times_power(const(Fraction(1)), base, n)
+        known = powers.setdefault(id(base), [base])
+        while len(known) < n and (len(known) == 1 or not known[-1].is_zero()):
+            known.append(known[-1].mul(base))
+        return known[min(n, len(known)) - 1]
 
     def call(e: Call, value):
         if _one_variable_real(value):
@@ -313,10 +328,7 @@ def taylor_lift_at(
             f"need one base coordinate and one generator per input: map takes "
             f"{f.arity}, algebra has {algebra.nvars} generators, base has {len(base)}"
         )
-    point = tuple(
-        algebra.const(base[i], mode).add(algebra.var_element(i, mode))
-        for i in range(f.arity)
-    )
+    point = tuple(algebra.displaced_var(i, b, mode) for i, b in enumerate(base))
     return taylor_lift(f, algebra, point)
 
 

@@ -120,10 +120,8 @@ def _var_names(nvars: int) -> Tuple[str, ...]:
     return tuple(f"x{i + 1}" for i in range(nvars))
 
 
-def random_poly_expr(
-    rng: random.Random, arity: int, max_degree: int = 3, max_terms: int = 4
-) -> Expr:
-    return polynomial_to_expr(random_polynomial(rng, arity, max_degree, max_terms))
+def random_poly_expr(rng: random.Random, arity: int, max_degree: int = 3) -> Expr:
+    return polynomial_to_expr(random_polynomial(rng, arity, max_degree, max_terms=4))
 
 
 def random_poly_map(

@@ -99,10 +99,10 @@ class SuiteConfig:
         return self.cases.get(suite, DEFAULT_CASES[suite])
 
 
-def default_config(seed: int = 7) -> SuiteConfig:
+def default_config() -> SuiteConfig:
     return SuiteConfig(
         suites=tuple(DEFAULT_CASES),
-        seed=seed,
+        seed=7,
         cases=dict(DEFAULT_CASES),
         degree_bound=2,
         grid_n=(0, 1, 2),

@@ -156,7 +156,7 @@ def test_derive_output_is_within_the_bound(capsys):
         ref_f = mp_function(text, 1)
         for p in points:
             base = str(Fraction(str(p)))
-            assert main(["derive", "--order", str(order), "--expr", text, f"--at={base}"]) == 0
+            assert main(["derive", "--order", str(order), "--expr", text, "--at", base]) == 0
             lines = capsys.readouterr().out.splitlines()
             assert [line.split(": ")[0] for line in lines] == [str(j) for j in range(order + 1)]
             got = [_mp(Fraction(line.split(": ")[1])) / factorial(j) for j, line in enumerate(lines)]

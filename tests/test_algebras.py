@@ -276,6 +276,41 @@ def test_var_element_is_the_reduced_variable(mode):
             assert got == expected and got._v == expected._v and got._den == expected._den
 
 
+def bits(element):
+    """The stored vector, floats by their hex (which tells -0.0 from 0.0)."""
+    return [c.hex() if isinstance(c, float) else c for c in element._v], element._den
+
+
+@pytest.mark.parametrize("mode", [RATIONAL, REAL])
+def test_displaced_var_is_the_constant_plus_the_variable(mode):
+    values = [0, 3, Fraction(-7, 4), Fraction(1, 3), 10**30]
+    if mode == REAL:
+        values += [0.6, -0.0, 0.0, -2.5, 1e-300]
+    for w in (
+        jet_algebra(5),
+        tensor(jet_algebra(2), jet_algebra(3)),
+        algebra(["x", "y"], ["x^2 - y^3"], 6),
+        algebra(["x", "y"], [], 1),
+    ):
+        for i in range(w.nvars):
+            for value in values:
+                expected = w.const(value, mode).add(w.var_element(i, mode))
+                got = w.displaced_var(i, value, mode)
+                assert got == expected and bits(got) == bits(expected), (w, i, value)
+
+
+def test_displaced_var_keeps_the_constant_errors():
+    w = jet_algebra(3)
+    with pytest.raises(ScalarModeError):
+        w.displaced_var(0, 0.5, RATIONAL)
+    with pytest.raises(DomainError):
+        w.displaced_var(0, Fraction(10**400), REAL)
+    with pytest.raises(DomainError):
+        w.displaced_var(0, math.inf, REAL)
+    with pytest.raises(ValueError):
+        w.displaced_var(1, 0, RATIONAL)
+
+
 def test_cusp_product_reduces():
     x = CUSP.var_element(0)
     y = CUSP.var_element(1)

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from expr_corpus import CORPUS
 from hypothesis import given, strategies as st
 
 from weilkit.algebras import preset_algebra
@@ -52,6 +53,15 @@ class TestParsing:
         assert parse_smooth_map("t0 + t2").arity == 3
         assert parse_smooth_map("sin(t)").arity == 1
         assert parse_smooth_map("3").arity == 0
+
+    @pytest.mark.parametrize(
+        "text",
+        [text for text, _ in CORPUS]
+        + ["t0 + t2", "(t, t3^2)", "3", "(t1)*t0", "((t2) + y, x)", "(t5)", "sin(t4)^-2 / x", "x*y"],
+    )
+    def test_parsed_arity_is_one_past_the_highest_variable(self, text):
+        f = parse_smooth_map(text)
+        assert f.arity == max((max_var_index(o) for o in f.outputs), default=-1) + 1
 
     def test_arity_check(self):
         with pytest.raises(ParseError):

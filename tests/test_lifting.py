@@ -9,12 +9,16 @@ import pytest
 from expr_corpus import CORPUS, EXACT_SUBSET
 from oracles import fd_derivative, rel_close, symbolic_derivative_at
 
+from weilkit import lifting
 from weilkit.algebras import (
     RATIONAL,
     REAL,
+    WeilElement,
+    WeilPresentation,
     identity_morphism,
     jet_algebra,
     mk_morphism,
+    mk_weil_algebra,
     preset_algebra,
     real_line_algebra,
     tensor,
@@ -23,9 +27,17 @@ from weilkit.algebras import (
 from weilkit.cli import main
 from weilkit.errors import AlgebraMismatch, DomainError, ScalarModeError
 from weilkit.expressions import (
+    Add,
+    Const,
     Expr,
+    Mul,
+    Neg,
+    Pow,
     SmoothMap,
+    Sub,
+    Var,
     compose_maps,
+    fold_expr,
     map_polynomials,
     parse_smooth_map,
     polynomial_to_expr,
@@ -54,8 +66,9 @@ from weilkit.lifting import (
     taylor_coefficients,
     taylor_lift,
     taylor_lift_at,
+    weil_context,
 )
-from weilkit.polynomials import Monomial, parse_polynomial
+from weilkit.polynomials import Monomial, parse_polynomial, times_power
 from weilkit.samplers import random_element, random_poly_map, random_smooth_map
 
 DUAL = preset_algebra("dual")
@@ -697,3 +710,124 @@ class TestSharedSubexpressions:
             lifted += distinct_nodes(f.outputs[0]) < distinct_nodes(copy.outputs[0])
         # most draws share nodes and lift without leaving the domain
         assert lifted >= 8
+
+
+def bits(value):
+    """A WeilElement's stored vector, floats by their hex (which tells
+    -0.0 from 0.0); any other value as itself."""
+    if isinstance(value, WeilElement):
+        return [c.hex() if isinstance(c, float) else c for c in value._v], value._den
+    return value
+
+
+def algebra_of(variables, relations, k):
+    return mk_weil_algebra(WeilPresentation(tuple(variables), tuple(relations), k))
+
+
+def power_sum(base: Expr, exponents) -> Expr:
+    """base^n1 + base^n2 + ..., every power on the one base node."""
+    node = Pow(base, exponents[0])
+    for n in exponents[1:]:
+        node = Add(node, Pow(base, n))
+    return node
+
+
+class TestSharedPowers:
+    """Within one lift the powers of one base value are kept in one list;
+    each power must still equal the stepwise times_power(1, base, n)."""
+
+    T0, T1 = Var(0), Var(1)
+    UP = (5, 2, 9, 3, 1, 0, 4, 7)
+    BOTH = UP + (-1, -3, -2, -3)
+
+    def node_values(self, monkeypatch, e, args, ctx):
+        """Every node's value in one lift of e, keyed by node identity."""
+        values = {}
+
+        def recording_fold(root, rules, *rest):
+            def record(rule):
+                def run(node, *kids):
+                    values[id(node)] = rule(node, *kids)
+                    return values[id(node)]
+
+                return run
+
+            return fold_expr(root, {t: record(r) for t, r in rules.items()}, *rest)
+
+        monkeypatch.setattr(lifting, "fold_expr", recording_fold)
+        lift_expr(e, args, ctx)
+        monkeypatch.undo()
+        return values
+
+    def check(self, monkeypatch, e, args, ctx):
+        values = self.node_values(monkeypatch, e, args, ctx)
+        stack, powers = [e], 0
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Pow):
+                base = values[id(node.base)]
+                if node.exponent < 0:
+                    base = base.inverse()
+                expected = times_power(ctx.const(F(1)), base, abs(node.exponent))
+                got = values[id(node)]
+                assert got == expected and bits(got) == bits(expected), node
+                powers += 1
+            elif isinstance(node, Add):
+                stack += [node.left, node.right]
+        assert powers >= len(self.UP)
+
+    @pytest.mark.parametrize("mode", [RATIONAL, REAL])
+    def test_one_variable_jet(self, monkeypatch, mode):
+        w = jet_algebra(8)
+        at = F(1, 3) if mode == RATIONAL else 0.6
+        args = (w.displaced_var(0, at, mode),)
+        ctx = weil_context(w, mode)
+        for base, exponents in (
+            (self.T0, self.BOTH),
+            (Add(Const(F(1)), self.T0), self.BOTH),
+            (Mul(Const(F(-2)), self.T0), self.BOTH),
+            # in real mode, a zero with -0.0 coordinates, and -t, whose
+            # zero coordinates are -0.0
+            (Neg(Sub(self.T0, self.T0)), self.UP),
+            (Neg(self.T0), self.BOTH),
+        ):
+            self.check(monkeypatch, power_sum(base, exponents), args, ctx)
+
+    @pytest.mark.parametrize("mode", [RATIONAL, REAL])
+    def test_nilpotent_bases_at_the_generic_point(self, monkeypatch, mode):
+        for w, base in (
+            (jet_algebra(4), self.T0),
+            (jet_algebra(1), self.T0),
+            (algebra_of(["x", "y"], ["x^2 - y^3"], 6), Add(self.T0, self.T1)),
+            (algebra_of(["x", "y"], ["x^2 - y^3"], 6), self.T1),
+        ):
+            ctx = weil_context(w, mode)
+            self.check(monkeypatch, power_sum(base, self.UP), w.generic_point(mode), ctx)
+
+    @pytest.mark.parametrize("mode", [RATIONAL, REAL])
+    def test_jet_tensor(self, monkeypatch, mode):
+        w = tensor(jet_algebra(2), jet_algebra(3))
+        at = (F(1, 2), F(-3, 4)) if mode == RATIONAL else (0.5, -0.75)
+        args = tuple(w.displaced_var(i, b, mode) for i, b in enumerate(at))
+        base = Add(self.T0, Mul(self.T1, self.T1))
+        self.check(monkeypatch, power_sum(base, self.BOTH), args, weil_context(w, mode))
+
+    def test_nested_elements(self, monkeypatch):
+        rng = random.Random(3)
+        w1, w2 = jet_algebra(2), jet_algebra(3)
+        ctx = nested_context(w1, w2)
+        for _ in range(4):
+            args = (random_nested(rng, w1, w2),)
+            self.check(monkeypatch, power_sum(self.T0, self.UP), args, ctx)
+
+    def test_each_power_costs_one_product(self, monkeypatch):
+        products = []
+        mul = WeilElement.mul
+        monkeypatch.setattr(WeilElement, "mul", lambda a, b: products.append(1) or mul(a, b))
+        f = parse_smooth_map("t^5 - t^4 + t^3 - t^2")
+        for mode, at in ((RATIONAL, F(1, 3)), (REAL, 0.5)):
+            taylor_lift_at(f, jet_algebra(8), [at], mode)
+        assert len(products) == 2 * 4
+        # t^2, t^3, t^4 and t^5 = 0 on jet4: the list stops there
+        class_of(parse_smooth_map("t^9 + t^2 + t^6"), jet_algebra(4))
+        assert len(products) == 2 * 4 + 4

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -28,6 +29,14 @@ from weilkit.suites import (
 )
 
 REPO = Path(__file__).resolve().parent.parent
+# a child interpreter finds the package from its source tree too: the
+# pytest pythonpath setting reaches only the pytest process
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(REPO / "src"), os.environ.get("PYTHONPATH")))
+    ),
+}
 
 
 def small_config(seed=11, cases=2, **overrides):
@@ -352,6 +361,7 @@ class TestCliCheck:
              str(REPO / "configs" / "cusp.json")],
             capture_output=True,
             text=True,
+            env=CHILD_ENV,
         )
         assert proc.returncode == 0
         assert "dimension 7" in proc.stdout
@@ -361,6 +371,7 @@ class TestCliCheck:
             [sys.executable, "-m", "weilkit", "check", str(REPO / "configs" / "cusp.json")],
             capture_output=True,
             text=True,
+            env=CHILD_ENV,
         )
         assert proc.returncode == 0, proc.stderr
         assert "dimension 7" in proc.stdout
@@ -375,6 +386,7 @@ def run_with_closed_stdout(*argv):
             stdout=write_end,
             stderr=subprocess.PIPE,
             text=True,
+            env=CHILD_ENV,
         )
     finally:
         os.close(write_end)
@@ -414,6 +426,13 @@ class TestCliLift:
         out = capsys.readouterr().out
         assert "mode real" in out
         assert "2.718281828459045" in out
+
+    def test_negative_base_point_after_at(self, capsys):
+        # a list that opens with a negative number is the value of --at
+        assert main(["lift", "--algebra", "d2", "--expr", "x*y", "--at", "-1,2"]) == 0
+        assert capsys.readouterr().out == "mode rational\nf0 = -2 - y + 2*x\n"
+        assert main(["lift", "--algebra", "d2", "--expr", "x*y", "--at", "-1/2,3"]) == 0
+        assert capsys.readouterr().out == "mode rational\nf0 = -3/2 - 1/2*y + 3*x\n"
 
     def test_wrong_coordinate_count(self):
         assert main(["lift", "--algebra", "d2", "--expr", "x + y", "--at", "1"]) == 2
@@ -481,6 +500,18 @@ class TestCliLift:
 
 
 class TestCliDerive:
+    @pytest.mark.parametrize("at", ["-3/2", "-1.5", "-.5"])
+    def test_negative_base_point_after_at(self, at, capsys):
+        assert main(["derive", "--order", "2", "--expr", "1/t", "--at", at]) == 0
+        base = Fraction(at)
+        expected = [1 / base, -1 / base**2, 2 / base**3]
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [f"{j}: {value}" for j, value in enumerate(expected)]
+
+    def test_missing_base_point_is_still_a_usage_error(self, capsys):
+        assert main(["derive", "--order", "2", "--expr", "t", "--at"]) == 2
+        assert "expected one argument" in capsys.readouterr().err
+
     def test_exponential_table(self, capsys):
         assert main(["derive", "--order", "3", "--expr", "exp(t)", "--at", "0"]) == 0
         out = capsys.readouterr().out.splitlines()
