@@ -350,7 +350,8 @@ class WeilAlgebra:
         return gens
 
     # -- element constructors ----------------------------------------------
-    def _coerce(self, value: Scalar, mode: str) -> Scalar:
+    @staticmethod
+    def _coerce(value: Scalar, mode: str) -> Scalar:
         if mode == RATIONAL:
             if isinstance(value, float):
                 raise ScalarModeError("float scalar in rational mode")

@@ -190,17 +190,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # argparse takes a value that opens with '-' for an option unless it is a
-# plain negative number such as -1.5; a base point like -3/2 or -1,2 is not
-_NEGATIVE_VALUE = re.compile(r"-\.?\d")
+# plain negative number such as -1.5: a base point like -3/2 or -1,2, or
+# an expression like -t^2, is not.  "--..." and "-h" are options.
+_SIGNED_VALUE_FLAGS = ("--at", "--expr", "--f", "--g")
+_SIGNED_VALUE = re.compile(r"-(?!-|h$)")
 
 
-def _attach_negative_at(argv: Sequence[str]) -> List[str]:
-    """``--at VALUE`` as ``--at=VALUE`` when VALUE opens with a minus sign
-    and a digit, so that argparse reads it as the value."""
+def _attach_signed_values(argv: Sequence[str]) -> List[str]:
+    """``FLAG VALUE`` as ``FLAG=VALUE`` for those flags when VALUE opens
+    with a minus sign and is not itself an option, so that argparse
+    reads it as the value."""
     out: List[str] = []
     for arg in argv:
-        if out and out[-1] == "--at" and _NEGATIVE_VALUE.match(arg):
-            out[-1] = f"--at={arg}"
+        if out and out[-1] in _SIGNED_VALUE_FLAGS and _SIGNED_VALUE.match(arg):
+            out[-1] = f"{out[-1]}={arg}"
         else:
             out.append(arg)
     return out
@@ -209,7 +212,7 @@ def _attach_negative_at(argv: Sequence[str]) -> List[str]:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(_attach_negative_at(sys.argv[1:] if argv is None else argv))
+        args = parser.parse_args(_attach_signed_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

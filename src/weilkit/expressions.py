@@ -16,7 +16,7 @@ through a Weil algebra lives in the lifting module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -137,10 +137,19 @@ class SmoothMap:
 
     arity: int
     outputs: Tuple[Expr, ...]
+    # whether an output calls a primitive: None until first asked
+    calls: Optional[bool] = field(default=None, compare=False, repr=False)
 
     @property
     def coarity(self) -> int:
         return len(self.outputs)
+
+    @property
+    def has_call(self) -> bool:
+        if self.calls is None:
+            found = any(fold_expr(o, _HAS_CALL, _ARITHMETIC_CHILDREN) for o in self.outputs)
+            object.__setattr__(self, "calls", found)
+        return self.calls
 
     def select(self, indices: Sequence[int]) -> "SmoothMap":
         """Post-compose with a coordinate projection."""
@@ -160,7 +169,8 @@ def compose_maps(outer: SmoothMap, inner: SmoothMap) -> SmoothMap:
             f"cannot compose: inner has {inner.coarity} outputs, outer takes {outer.arity}"
         )
     rules = {**_REBUILD, Var: lambda e: inner.outputs[e.index]}
-    return SmoothMap(inner.arity, tuple(fold_expr(o, rules) for o in outer.outputs))
+    outputs = tuple(fold_expr(o, rules) for o in outer.outputs)
+    return SmoothMap(inner.arity, outputs, outer.has_call or inner.has_call)
 
 
 _REBUILD: Dict[type, Callable] = {
@@ -175,6 +185,10 @@ _MAX_VAR: Dict[type, Callable] = {
     Const: lambda e: -1,
     Var: lambda e: e.index,
 }
+
+
+# over the arithmetic children, where a primitive call is a leaf
+_HAS_CALL = {**{op: lambda e, *kids: any(kids) for op in _CHILDREN}, Call: lambda e: True}
 
 
 def max_var_index(e: Expr) -> int:
@@ -203,6 +217,7 @@ class _Parser:
         self.depth = 0
         self.nodes = 0
         self.top_var = -1  # the highest variable index read, -1 for none
+        self.calls = False  # whether a primitive call was read
 
     def node(self, cls: type, *fields) -> Expr:
         """Build one expression node, counting it against MAX_NODES."""
@@ -329,6 +344,7 @@ class _Parser:
                 self.expect("(")
                 arg = self.nested(self.expr)
                 self.expect(")")
+                self.calls = True
                 return self.node(Call, name, arg)
             if name.startswith("t") and name[1:].isdigit():
                 index = int(name[1:])
@@ -377,7 +393,7 @@ def parse_smooth_map(text: str, arity: int | None = None) -> SmoothMap:
         arity = used + 1
     elif used >= arity:
         raise ParseError(f"expression uses t{used} but arity is {arity}")
-    return SmoothMap(arity, outputs)
+    return SmoothMap(arity, outputs, parser.calls)
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,7 @@ from .expressions import (
     SmoothMap,
     Sub,
     Var,
+    _SCALAR,
     fold_expr,
     format_map,
     is_polynomial_map,
@@ -171,10 +172,6 @@ def _real_coefficients(fn: str, a: float, count: int) -> List[float]:
 # 2nd ed., ch. 13) where Horner spends d general products.
 
 
-def _one_variable_real(value) -> bool:
-    return type(value) is WeilElement and value.mode == REAL and value.algebra.nvars == 1
-
-
 def _primitive_series(fn: str, u: List[float]) -> List[float]:
     """Coefficients of fn(u) for a truncated power series u; the first
     one comes from ``taylor_coefficients``, which also rejects points
@@ -223,39 +220,114 @@ def _quotient_series(a: List[float], b: List[float]) -> List[float]:
 @dataclass(frozen=True)
 class LiftContext:
     """What the evaluator needs beyond the elements themselves: a way to
-    make constants, the nilpotency bound for series, and the mode."""
+    make constants, the nilpotency bound for series, the mode, and
+    whether elements are real power series in one variable."""
 
     const: Callable[[Scalar], object]
     order: int
     mode: str
+    series: bool = False
 
 
 def weil_context(algebra: WeilAlgebra, mode: str = RATIONAL) -> LiftContext:
-    return LiftContext(lambda c: algebra.const(c, mode), algebra.order, mode)
+    series = mode == REAL and algebra.nvars == 1
+    return LiftContext(lambda c: algebra.const(c, mode), algebra.order, mode, series)
 
 
-# ring operations, the same for every element type the evaluator runs on
-_RING: Dict[type, Callable] = {
-    Add: lambda e, a, b: a.add(b),
-    Sub: lambda e, a, b: a.sub(b),
-    Mul: lambda e, a, b: a.mul(b),
-    Neg: lambda e, a: a.neg(),
+# A number stands for the constant element it lifts to.  A real number of
+# this type stands for one whose other coordinates are -0.0, as those of
+# a negated constant are.
+class _NegZeros(float):
+    __slots__ = ()
+
+
+_NUMBERS = frozenset((Fraction, float, int, _NegZeros))
+_EXACT_ONE = Fraction(1)
+
+
+def _number(x, negative_zeros=False):
+    """A number result; a real one must be finite, as coordinates are."""
+    if type(x) is float and not math.isfinite(x):
+        raise DomainError("a real-mode coordinate is out of float range")
+    return _NegZeros(x) if negative_zeros else x
+
+
+def _inverse(x):
+    """1/x, as geometric_inverse takes it."""
+    if x == 0:
+        raise DomainError("element with zero augmentation is not invertible")
+    return _number((1.0 if isinstance(x, float) else _EXACT_ONE) / x)
+
+
+def _times(p, q):
+    # a product reads only nonzero coordinates, into 0.0
+    return _number(p * q + 0.0) if isinstance(p, float) else p * q
+
+
+def _scaled(s, x):
+    """s·x, rounded as const(s)·x is: a product skips zero coordinates,
+    so each reads 0.0 + s·c."""
+    if x.mode == REAL:
+        return _real(x.algebra, [s * c + 0.0 for c in x._v])
+    return x.scale(s)
+
+
+def _product(e: Mul, a, b):
+    if type(a) in _NUMBERS:
+        return _times(a, b) if type(b) in _NUMBERS else _scaled(a, b)
+    return _scaled(b, a) if type(b) in _NUMBERS else a.mul(b)
+
+
+# the rules that need nothing of one lift's context
+_NUMBER_RULES: Dict[type, Callable] = {
+    Neg: lambda e, a: _number(-a, type(a) is float) if type(a) in _NUMBERS else a.neg(),
+    Mul: _product,
 }
+
+
+def _lifted(x, const):
+    """The element that a number stands for; an element as it is."""
+    if type(x) is _NegZeros:
+        return const(-x).neg()
+    return const(x) if type(x) in _NUMBERS else x
 
 
 def lift_expr(e: Expr, args: Sequence, ctx: LiftContext):
     """The lift of one expression at ``args``; a node that the
-    expression shares by reference is lifted once."""
-    const = ctx.const
+    expression shares by reference is lifted once.  A subexpression
+    without variables lifts to a constant, so it stays a number, rounded
+    and raising as the constant's element would, until it meets an
+    element."""
+    const, mode, series = ctx.const, ctx.mode, ctx.series
     # id(x) -> [x, x^2, ...] for each base value of this lift; the list
     # holds x, so the id stays x's for as long as the fold's node memo
     powers: Dict[int, list] = {}
 
+    def linear(e, a, b):  # Add and Sub
+        if type(a) in _NUMBERS:
+            if type(b) in _NUMBERS:
+                if type(e) is Add:
+                    return _number(a + b, type(a) is type(b) is _NegZeros)
+                return _number(a - b, type(a) is _NegZeros is not type(b))
+            a = _lifted(a, const)
+        elif type(b) in _NUMBERS:
+            b = _lifted(b, const)
+        return a.add(b) if type(e) is Add else a.sub(b)
+
     def quotient(e: Div, a, b):
-        if _one_variable_real(a) and _one_variable_real(b):
-            a._match(b)
-            return _real(b.algebra, _quotient_series(a._v, b._v))
-        return a.mul(b.inverse())
+        if type(b) in _NUMBERS:
+            if not series:
+                b = _inverse(b)
+                return _times(a, b) if type(a) in _NUMBERS else _scaled(b, a)
+            if type(a) in _NUMBERS:
+                q = _quotient_series([a], [b])[0]
+                return _number(q, (type(a) is _NegZeros) != (b < 0))
+            return _real(a.algebra, _quotient_series(a._v, [b]))
+        if not series:
+            return _scaled(a, b.inverse()) if type(a) in _NUMBERS else a.mul(b.inverse())
+        a = _lifted(a, const)
+        a._match(b)
+        return _real(b.algebra, _quotient_series(a._v, b._v))
 
     def power(e: Pow, base):
         """base^n, multiplied as times_power(1, base, n) does, with the
@@ -264,6 +336,12 @@ def lift_expr(e: Expr, args: Sequence, ctx: LiftContext):
         in the sign of zero coordinates, and a product reads only the
         nonzero ones.  The list stops at its first zero power."""
         n = e.exponent
+        if type(base) in _NUMBERS:
+            if n < 0:
+                base, n = _inverse(base), -n
+            if mode == RATIONAL:
+                return base**n
+            return times_power(1.0, base, n, _times)
         if n < 0:
             base, n = base.inverse(), -n
         if n < 2:
@@ -275,7 +353,14 @@ def lift_expr(e: Expr, args: Sequence, ctx: LiftContext):
         return known[min(n, len(known)) - 1]
 
     def call(e: Call, value):
-        if _one_variable_real(value):
+        if type(value) in _NUMBERS:
+            if series:  # the recurrences give cos -0.0 zeros, log and sqrt value's
+                zeros = e.fn == "cos" or e.fn in ("log", "sqrt") and type(value) is _NegZeros
+                return _number(taylor_coefficients(e.fn, value, 1, REAL)[0], zeros)
+            if mode == REAL:  # as augmentation() reads it; every coefficient must be finite
+                return taylor_coefficients(e.fn, value + 0.0, ctx.order, REAL)[0]
+            return taylor_coefficients(e.fn, value, 1, mode)[0]
+        if series:
             return _real(value.algebra, _primitive_series(e.fn, value._v))
         a0 = value.augmentation()
         coeffs = taylor_coefficients(e.fn, a0, ctx.order, ctx.mode)
@@ -285,8 +370,18 @@ def lift_expr(e: Expr, args: Sequence, ctx: LiftContext):
             acc = acc.mul(nil).add(const(c))
         return acc
 
-    leaves = {Const: lambda e: const(e.value), Var: lambda e: args[e.index]}
-    return fold_expr(e, {**_RING, **leaves, Div: quotient, Pow: power, Call: call})
+    rules = {
+        **_NUMBER_RULES,
+        Const: lambda e: WeilAlgebra._coerce(e.value, mode),
+        Var: lambda e: args[e.index],
+        Add: linear,
+        Sub: linear,
+        Div: quotient,
+        Pow: power,
+        Call: call,
+    }
+    value = fold_expr(e, rules)
+    return value if type(value) not in _NUMBERS else _lifted(value, const)
 
 
 def taylor_lift(
@@ -328,8 +423,31 @@ def taylor_lift_at(
             f"need one base coordinate and one generator per input: map takes "
             f"{f.arity}, algebra has {algebra.nvars} generators, base has {len(base)}"
         )
+    if mode == RATIONAL and f.has_call:
+        _check_exact_at(f, algebra, base)
     point = tuple(algebra.displaced_var(i, b, mode) for i, b in enumerate(base))
     return taylor_lift(f, algebra, point)
+
+
+def _check_exact_at(f: SmoothMap, algebra: WeilAlgebra, base: Sequence[Scalar]) -> None:
+    """Fold f in exact numbers at the base point.  They are the exact
+    lift's augmentations, met in the same order, so a primitive that is
+    irrational there raises the lift's ScalarModeError before any element
+    is built.  Any other error stops the fold, for the lift to raise."""
+    base = [Fraction(algebra._coerce(b, RATIONAL)) for b in base]
+    rules = {
+        **_SCALAR,
+        Const: lambda e: algebra._coerce(e.value, RATIONAL),
+        Var: lambda e: base[e.index],
+        Call: lambda e, v: taylor_coefficients(e.fn, v, 1, RATIONAL)[0],
+    }
+    try:
+        for o in f.outputs:
+            fold_expr(o, rules)
+    except ScalarModeError:
+        raise
+    except Exception:  # the lift raises its own, at the same node
+        pass
 
 
 def lift_with_fallback(

@@ -142,7 +142,7 @@ class Polynomial:
             for mono, coeff in terms.items():
                 if len(mono) != nvars:
                     raise ValueError("monomial arity mismatch in polynomial")
-                c = Fraction(coeff)
+                c = coeff if type(coeff) is Fraction else Fraction(coeff)
                 if c != 0:
                     clean[mono] = c
         object.__setattr__(self, "nvars", nvars)

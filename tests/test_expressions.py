@@ -16,6 +16,7 @@ from weilkit.expressions import (
     Const,
     Mul,
     Pow,
+    SmoothMap,
     Var,
     compose_maps,
     eval_expr_exact,
@@ -62,6 +63,20 @@ class TestParsing:
     def test_parsed_arity_is_one_past_the_highest_variable(self, text):
         f = parse_smooth_map(text)
         assert f.arity == max((max_var_index(o) for o in f.outputs), default=-1) + 1
+
+    @pytest.mark.parametrize(
+        "text, calls",
+        [("t^2 - 1/3", False), ("(t0, t1*t0)", False), ("exp(t)", True), ("(t0, sqrt(t1))", True)],
+    )
+    def test_parsed_map_knows_whether_it_calls_a_primitive(self, text, calls):
+        f = parse_smooth_map(text)
+        assert f.calls is calls
+        # a map built another way finds out by one walk, and keeps it
+        g = SmoothMap(f.arity, f.outputs)
+        assert g.calls is None and g.has_call is calls and g.calls is calls
+        assert compose_maps(parse_smooth_map("t0^2", g.coarity), g).calls is calls
+        sines = parse_smooth_map(", ".join(["sin(t)"] * g.arity))
+        assert compose_maps(g, sines).calls is True
 
     def test_arity_check(self):
         with pytest.raises(ParseError):

@@ -3,8 +3,11 @@ import math
 import random
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expr_corpus import CORPUS, EXACT_SUBSET
 from oracles import fd_derivative, rel_close, symbolic_derivative_at
@@ -13,6 +16,7 @@ from weilkit import lifting
 from weilkit.algebras import (
     RATIONAL,
     REAL,
+    WeilAlgebra,
     WeilElement,
     WeilPresentation,
     identity_morphism,
@@ -27,6 +31,8 @@ from weilkit.algebras import (
 from weilkit.cli import main
 from weilkit.errors import AlgebraMismatch, DomainError, ScalarModeError
 from weilkit.expressions import (
+    _REBUILD,
+    PRIMITIVES,
     Add,
     Const,
     Expr,
@@ -831,3 +837,209 @@ class TestSharedPowers:
         # t^2, t^3, t^4 and t^5 = 0 on jet4: the list stops there
         class_of(parse_smooth_map("t^9 + t^2 + t^6"), jet_algebra(4))
         assert len(products) == 2 * 4 + 4
+
+
+class TestConstantsStayNumbers:
+    """A subexpression without variables lifts to a constant; it is kept
+    as a number, so constant factors and divisors cost no product and no
+    inverse, and the result is the one the element arithmetic gives."""
+
+    def counting(self, monkeypatch):
+        calls = {"mul": 0, "inverse": 0}
+        for name in calls:
+            method = getattr(WeilElement, name)
+
+            def counted(*a, name=name, method=method):
+                calls[name] += 1
+                return method(*a)
+
+            monkeypatch.setattr(WeilElement, name, counted)
+        return calls
+
+    def test_constant_coefficients_cost_no_product(self, monkeypatch):
+        calls = self.counting(monkeypatch)
+        f = parse_smooth_map("1/4*t*t - 1/2*t + 1/16")
+        for mode, at in ((RATIONAL, F(1, 3)), (REAL, 0.5)):
+            taylor_lift_at(f, jet_algebra(4), [at], mode)
+        assert calls == {"mul": 2, "inverse": 0}
+
+    def test_constant_divisor_costs_no_inverse(self, monkeypatch):
+        calls = self.counting(monkeypatch)
+        w = tensor(jet_algebra(2), jet_algebra(3))
+        f = parse_smooth_map("t0/3 + t1")
+        for mode, at in ((RATIONAL, [F(1, 2), F(2)]), (REAL, [0.5, 2.0])):
+            third = F(1, 3) if mode == RATIONAL else 1 / 3
+            x0, x1 = (w.displaced_var(i, b, mode) for i, b in enumerate(at))
+            assert taylor_lift_at(f, w, at, mode) == (x0.scale(third).add(x1),)
+        assert calls == {"mul": 0, "inverse": 0}
+
+    def test_variable_free_output_is_a_constant(self, monkeypatch):
+        calls = self.counting(monkeypatch)
+        w = jet_algebra(4)
+        f = parse_smooth_map("(2^10 - 1/3, exp(t))", 1)
+        values, mode = lift_with_fallback(f, w, [F(1, 2)])
+        assert mode == REAL and bits(values[0]) == bits(w.const(1024 - 1 / 3, REAL))
+        values, mode = lift_with_fallback(f.select([0]), w, [F(1, 2)])
+        assert mode == RATIONAL and values == (w.const(F(3071, 3)),)
+        assert calls == {"mul": 0, "inverse": 0}
+
+    @pytest.mark.parametrize(
+        "text, algebra, at, message",
+        [
+            # 1/inf would read 0.0: the square itself is out of range
+            (
+                "exp(t) + 1/(2^1000)^2",
+                jet_algebra(4),
+                [F(1, 2)],
+                "a real-mode coordinate is out of float range",
+            ),
+            # the constant's higher Taylor coefficients overflow on a jet tensor
+            (
+                "sqrt(2/10^200)*t0 + exp(t1)",
+                tensor(jet_algebra(6), jet_algebra(6)),
+                [F(1, 2), F(1, 3)],
+                "sqrt Taylor coefficients at 1.9999999999999994e-200 are out of float range",
+            ),
+        ],
+    )
+    def test_out_of_range_constants_raise_where_elements_do(self, text, algebra, at, message):
+        with pytest.raises(DomainError) as info:
+            lift_with_fallback(parse_smooth_map(text), algebra, at)
+        assert str(info.value) == message
+
+
+NOT_INVERTIBLE = "element with zero augmentation is not invertible"
+
+
+class TestExactCheck:
+    """The exact attempt first folds the map in exact numbers at the base
+    point, where the primitives' coefficients are decided."""
+
+    def test_it_fails_before_building_an_element(self, monkeypatch):
+        built = []
+        assemble = WeilAlgebra._assemble
+        monkeypatch.setattr(WeilAlgebra, "_assemble", lambda *a: built.append(a) or assemble(*a))
+        with pytest.raises(ScalarModeError, match="exp has irrational"):
+            taylor_lift_at(parse_smooth_map("t^2/3 + exp(t)"), jet_algebra(4), [F(1, 2)])
+        assert built == []
+
+    @pytest.mark.parametrize(
+        "text, at, outcome",
+        [
+            ("sqrt(t)", F(1, 9), RATIONAL),
+            ("log(3*t)", F(1, 3), RATIONAL),
+            ("exp(t - 1/2)*sin(t - t)", F(1, 2), RATIONAL),
+            ("exp(t) + log(t)", F(1, 2), REAL),
+            # the fold stops at the first error and leaves it to the lift
+            ("1/(t - t) + exp(t)", F(1, 2), NOT_INVERTIBLE),
+            # in floats the divisor is 5.6e-17, so a real lift would pass
+            ("(1/(1/10 + 2/10 - 3/10), exp(t))", F(1, 2), NOT_INVERTIBLE),
+            ("(t^-1*0 + log(t), exp(t))", F(0), NOT_INVERTIBLE),
+            ("(log(t - 1/2), exp(t))", F(1, 2), "log undefined or not smooth at 0"),
+        ],
+    )
+    def test_it_keeps_the_outcome(self, text, at, outcome):
+        f = parse_smooth_map(text, 1)
+        if outcome in (RATIONAL, REAL):
+            assert lift_with_fallback(f, jet_algebra(4), [at])[1] == outcome
+        else:
+            with pytest.raises(DomainError) as info:
+                lift_with_fallback(f, jet_algebra(4), [at])
+            assert str(info.value) == outcome
+
+    def test_it_runs_only_for_maps_with_a_primitive(self, monkeypatch):
+        folded = []
+        monkeypatch.setattr(lifting, "_check_exact_at", lambda f, *rest: folded.append(f))
+        polynomial, primitive = parse_smooth_map("t^2 - 1/3"), parse_smooth_map("exp(t)")
+        composed = compose_maps(polynomial, primitive)
+        for f in (polynomial, compose_maps(polynomial, polynomial), primitive, composed):
+            taylor_lift_at(f, jet_algebra(4), [F(0)])
+            taylor_lift_at(f, jet_algebra(4), [0.5], REAL)
+        assert folded == [primitive, composed]
+
+
+def _texts(variables):
+    """Expressions over + - * / ^, small integers, the variables and the
+    primitives."""
+    leaves = st.one_of(st.sampled_from(variables), st.integers(0, 4).map(str))
+
+    def extend(inner):
+        return st.one_of(
+            st.tuples(inner, st.sampled_from("+-*/"), inner).map(lambda t: "({} {} {})".format(*t)),
+            inner.map(lambda a: f"-{a}"),
+            st.tuples(inner, st.integers(-3, 4)).map(lambda t: "({})^{}".format(*t)),
+            st.tuples(st.sampled_from(PRIMITIVES), inner).map(lambda t: "{}({})".format(*t)),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=10)
+
+
+_BASE = st.sampled_from((F(0), F(1), F(9, 4), F(-3, 2), F(1, 3)))
+_JET_TENSOR = tensor(jet_algebra(2), jet_algebra(3))
+_LIFTS = st.one_of(
+    st.tuples(_texts(["t"]), st.integers(1, 8).map(jet_algebra), st.tuples(_BASE).map(list)),
+    st.tuples(_texts(["t0", "t1"]), st.just(_JET_TENSOR), st.tuples(_BASE, _BASE).map(list)),
+)
+
+
+def _outcome(f, algebra, base, lift=lift_with_fallback):
+    try:
+        values, mode = lift(f, algebra, base)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return mode, [bits(v) for v in values]
+
+
+def _real_lift(f, algebra, base):
+    return taylor_lift_at(f, algebra, [float(b) for b in base], REAL), REAL
+
+
+def _elements_for_constants(f: SmoothMap) -> SmoothMap:
+    """f with each constant c written c + 0*t0, which lifts to the
+    element const(c) bit for bit and keeps every node an element."""
+    zero_t0 = Mul(Const(F(0)), Var(0))
+    rules = {**_REBUILD, Var: lambda e: e, Const: lambda e: Add(e, zero_t0)}
+    return SmoothMap(f.arity, tuple(fold_expr(o, rules) for o in f.outputs))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_LIFTS)
+def test_exact_check_at_the_base_point_changes_no_outcome(lift):
+    text, algebra, base = lift
+    f = parse_smooth_map(text, arity=algebra.nvars)
+    checked = _outcome(f, algebra, base)
+    with mock.patch.object(lifting, "_check_exact_at", lambda *args: None):
+        assert _outcome(f, algebra, base) == checked
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_LIFTS)
+def test_constants_as_numbers_lift_as_constant_elements(lift):
+    text, algebra, base = lift
+    f = parse_smooth_map(text, arity=algebra.nvars)
+    g = _elements_for_constants(f)
+    assert _outcome(f, algebra, base) == _outcome(g, algebra, base)
+    assert _outcome(f, algebra, base, _real_lift) == _outcome(g, algebra, base, _real_lift)
+
+
+# constants whose element has -0.0 coordinates or a rounding of its own
+@pytest.mark.parametrize(
+    "text",
+    [
+        "-2", "-2*t0", "t0*(-0)", "-1*0", "-1 + -2", "-1 - 2", "-1 - -2", "-(1 - 1)", "-0 - 0",
+        "-(t0^2) + -1", "-(t0^2) - -1", "sin(-0)", "cos(1)", "-cos(1)", "log(-(1 - 3))",
+        "sqrt(-(0 - 4))", "5*t0/3", "exp(-0)", "1/(-3)", "0/(-3)", "-1/(-3)", "5/3", "t0/(-3)",
+        "(-t0)/(-3)", "(2/3)^7", "(-5/7)^9", "(5/7)^-3", "(-0)^2", "(-2)^-1", "1/(2^-1000/2^74)",
+        "(2^1000)^2", "-(2^-1000)*2^-1000", "1/(1/10 + 2/10 - 3/10)", "(-1/3)/3*3",
+        "-2/(1 + t0^2)", "(exp(t0), -3/2 + 3/2)",
+    ],
+)
+@pytest.mark.parametrize(
+    "algebra, base",
+    [(jet_algebra(1), [F(1, 2)]), (jet_algebra(4), [F(-3, 2)]), (_JET_TENSOR, [F(1, 2), F(1, 3)])],
+)
+def test_edge_constants_lift_as_constant_elements(text, algebra, base):
+    f = parse_smooth_map(text, arity=algebra.nvars)
+    g = _elements_for_constants(f)
+    for lift in (lift_with_fallback, _real_lift):
+        assert _outcome(f, algebra, base, lift) == _outcome(g, algebra, base, lift)

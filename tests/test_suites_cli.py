@@ -434,6 +434,10 @@ class TestCliLift:
         assert main(["lift", "--algebra", "d2", "--expr", "x*y", "--at", "-1/2,3"]) == 0
         assert capsys.readouterr().out == "mode rational\nf0 = -3/2 - 1/2*y + 3*x\n"
 
+    def test_expression_that_opens_with_a_minus_sign(self, capsys):
+        assert main(["lift", "--algebra", "dual", "--expr", "-t", "--at", "1"]) == 0
+        assert capsys.readouterr().out == "mode rational\nf0 = -1 - x\n"
+
     def test_wrong_coordinate_count(self):
         assert main(["lift", "--algebra", "d2", "--expr", "x + y", "--at", "1"]) == 2
 
@@ -512,6 +516,15 @@ class TestCliDerive:
         assert main(["derive", "--order", "2", "--expr", "t", "--at"]) == 2
         assert "expected one argument" in capsys.readouterr().err
 
+    def test_expression_that_opens_with_a_minus_sign(self, capsys):
+        assert main(["derive", "--order", "2", "--expr", "-t^2", "--at", "1"]) == 0
+        assert capsys.readouterr().out.splitlines() == ["0: -1", "1: -2", "2: -2"]
+
+    @pytest.mark.parametrize("argv", [["--expr"], ["--expr", "--at", "1"], ["--expr", "-h"]])
+    def test_missing_expression_is_still_a_usage_error(self, argv, capsys):
+        assert main(["derive", "--order", "2", *argv]) == 2
+        assert "argument --expr: expected one argument" in capsys.readouterr().err
+
     def test_exponential_table(self, capsys):
         assert main(["derive", "--order", "3", "--expr", "exp(t)", "--at", "0"]) == 0
         out = capsys.readouterr().out.splitlines()
@@ -541,6 +554,10 @@ class TestCliEquiv:
     def test_equivalent_over_dual(self, capsys):
         assert main(["equiv", "--algebra", "dual", "--f", "sin(t)", "--g", "t"]) == 0
         assert "equivalent" in capsys.readouterr().out
+
+    def test_maps_that_open_with_a_minus_sign(self, capsys):
+        assert main(["equiv", "--algebra", "dual", "--f", "-t", "--g", "-sin(t)"]) == 0
+        assert capsys.readouterr().out.strip() == "equivalent"
 
     def test_inequivalent_over_jet3(self, capsys):
         assert main(["equiv", "--algebra", "jet3", "--f", "sin(t)", "--g", "t"]) == 1
