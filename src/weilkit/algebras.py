@@ -161,7 +161,7 @@ class _TensorRelations(tuple):
 @lru_cache(maxsize=INTERN_CAPACITY)
 def _built(names: Tuple[str, ...], relations: Tuple[Polynomial, ...], order: int):
     """Reduction rows, quotient basis, basis index, multiplication table,
-    the element kernel's tables, signature, hash and two empty memo
+    the element kernel's tables, signature, hash and three empty memo
     tables of a presentation.  Raises on an invalid relation, and
     ImproperIdeal when the quotient is zero; failures are not kept in
     the table.
@@ -194,7 +194,7 @@ def _built(names: Tuple[str, ...], relations: Tuple[Polynomial, ...], order: int
     rows_sig = tuple((pivot, tuple(row.sorted_terms())) for pivot, row in reduction.rows)
     sig = (names, order, rows_sig)
     kernel = _kernel_tables(basis, basis_index, table, order)
-    return reduction, basis, basis_index, table, kernel, sig, hash(sig), {}, {}
+    return reduction, basis, basis_index, table, kernel, sig, hash(sig), {}, {}, {}
 
 
 def _tensor_rows(w1: "WeilAlgebra", w2: "WeilAlgebra"):
@@ -282,6 +282,8 @@ class WeilAlgebra:
         "_hash",
         "_embedded",
         "_splits",
+        "_displaced",
+        "_lift_contexts",
     )
 
     def __init__(self, names: Sequence[str], relations: Sequence[Polynomial], order: int):
@@ -306,8 +308,12 @@ class WeilAlgebra:
             self._hash,
             self._embedded,
             self._splits,
+            self._displaced,
         ) = _built(self.names, self.relations, order)
         self.dimension = len(self.basis)
+        # lifting.weil_context keeps its contexts here, per instance: their
+        # constants are elements of this algebra, not of an equal one
+        self._lift_contexts = {}
 
     # -- identity ---------------------------------------------------------
     def __eq__(self, other: object) -> bool:
@@ -409,29 +415,34 @@ class WeilAlgebra:
         index = self.basis_index
         return self._assemble([(index[m], self._coerce(c, mode)) for m, c in terms], mode)
 
-    def _generator_row(self, index: int):
-        """The normal form of the i-th presentation variable, as (basis
-        monomial, rational) pairs; it has no constant term."""
-        if not 0 <= index < self.nvars:
-            raise ValueError("variable index out of range")
-        # the table holds it; at order 1 it is absent, and 0
-        return self._mul_table.get(tuple(int(v == index) for v in range(self.nvars)), ())
-
     def var_element(self, index: int, mode: str = RATIONAL) -> "WeilElement":
         """The class of the i-th presentation variable."""
-        return self._from_terms(self._generator_row(index), mode)
+        if not 0 <= index < self.nvars:
+            raise ValueError("variable index out of range")
+        # its normal form is in the table; at order 1 it is absent, and 0
+        row = self._mul_table.get(tuple(int(v == index) for v in range(self.nvars)), ())
+        return self._from_terms(row, mode)
 
     def displaced_var(self, index: int, value: Scalar, mode: str = RATIONAL) -> "WeilElement":
         """value + x_index, the same element as
-        ``const(value, mode).add(var_element(index, mode))`` but assembled
-        once: the value goes at position 0, the generator's row after it."""
-        coerce = self._coerce
-        entries = [(0, coerce(value, mode))]
-        entries += ((self.basis_index[m], coerce(c, mode)) for m, c in self._generator_row(index))
+        ``const(value, mode).add(var_element(index, mode))`` but written
+        into the generator's row, which the built state keeps per (index,
+        mode) as plain numbers: the value goes at position 0."""
+        value = self._coerce(value, mode)
+        row = self._displaced.get((index, mode))
+        if row is None:
+            x = self.var_element(index, mode)
+            row = self._displaced[index, mode] = (tuple(x._v), x._den)
+        nums, den = row
         if mode == REAL:
-            # the sum adds 0.0 to each entry, which turns a -0.0 into 0.0
-            entries = [(i, c + 0.0) for i, c in entries]
-        return self._assemble(entries, mode)
+            vec = list(nums)
+            vec[0] = value + 0.0  # the sum adds 0.0, which turns a -0.0 into 0.0
+            return _real(self, vec)
+        q = value.denominator
+        lcm = den // math.gcd(den, q) * q
+        vec = [n * (lcm // den) for n in nums]
+        vec[0] = value.numerator * (lcm // q)
+        return WeilElement(self, vec, RATIONAL, lcm)
 
     def basis_element(self, mono: Monomial, mode: str = RATIONAL) -> "WeilElement":
         one: Scalar = Fraction(1) if mode == RATIONAL else 1.0
@@ -597,7 +608,11 @@ class WeilElement:
         return _exact(self.algebra, [0, *self._v[1:]], self._den)
 
     def inverse(self) -> "WeilElement":
-        """Multiplicative inverse; the augmentation must be nonzero."""
+        """Multiplicative inverse; the augmentation must be nonzero.  An
+        exact element of a one-variable algebra is inverted as a power
+        series, every other element by the geometric series."""
+        if self.mode == RATIONAL and self.algebra.nvars == 1:
+            return _series_inverse(self)
         return geometric_inverse(self, self.algebra.one(self.mode), self.algebra.order)
 
     def to_real(self) -> "WeilElement":
@@ -620,6 +635,27 @@ class WeilElement:
         if self.mode != RATIONAL:
             raise ScalarModeError("no exact representative for a float element")
         return Polynomial(self.algebra.nvars, dict(self.coords))
+
+
+def _series_inverse(x: WeilElement) -> WeilElement:
+    """The inverse of an exact element of a one-variable algebra, whose
+    basis is 1, t, ..., t^(d-1): x = b/den for an integer series b, and
+    1/b has coefficients p_j / b_0^(j+1) with p_0 = 1 and p_j =
+    -sum_{i=1..j} b_i p_(j-i) b_0^(i-1), the O(d^2) quotient recurrence
+    (Griewank & Walther, Evaluating Derivatives, 2nd ed., ch. 13)."""
+    b, d = x._v, len(x._v)
+    if b[0] == 0:
+        raise DomainError("element with zero augmentation is not invertible")
+    powers = [1]  # b_0^i
+    for _ in range(d):
+        powers.append(powers[-1] * b[0])
+    terms = [(i, b[i] * powers[i - 1]) for i in range(1, d) if b[i]]
+    p = [1]
+    for j in range(1, d):
+        p.append(-sum(c * p[j - i] for i, c in terms if i <= j))
+    sign = 1 if powers[d] > 0 else -1
+    nums = [sign * x._den * p[j] * powers[d - 1 - j] for j in range(d)]
+    return _exact(x.algebra, nums, sign * powers[d])
 
 
 def geometric_inverse(x, one, order: int):

@@ -259,7 +259,7 @@ class _Parser:
     def read_int(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start:
             self.error("expected integer")
@@ -336,7 +336,7 @@ class _Parser:
                 self.error("tuple syntax is only allowed at the top level")
             self.expect(")")
             return node
-        if c.isdigit():
+        if c.isdecimal():
             return self.node(Const, Fraction(self.read_int()))
         if c.isalpha() or c == "_":
             name = self.read_name()
@@ -346,8 +346,12 @@ class _Parser:
                 self.expect(")")
                 self.calls = True
                 return self.node(Call, name, arg)
-            if name.startswith("t") and name[1:].isdigit():
-                index = int(name[1:])
+            if name.startswith("t") and name[1:].isdecimal():
+                try:
+                    index = int(name[1:])
+                except ValueError:  # more digits than int() converts
+                    self.pos -= len(name)
+                    self.error("variable index too long")
             elif name in VAR_ALIASES:
                 index = VAR_ALIASES[name]
             else:

@@ -230,8 +230,14 @@ class LiftContext:
 
 
 def weil_context(algebra: WeilAlgebra, mode: str = RATIONAL) -> LiftContext:
-    series = mode == REAL and algebra.nvars == 1
-    return LiftContext(lambda c: algebra.const(c, mode), algebra.order, mode, series)
+    """The context of lifts over this algebra instance, built once per
+    mode."""
+    ctx = algebra._lift_contexts.get(mode)
+    if ctx is None:
+        series = mode == REAL and algebra.nvars == 1
+        ctx = LiftContext(lambda c: algebra.const(c, mode), algebra.order, mode, series)
+        algebra._lift_contexts[mode] = ctx
+    return ctx
 
 
 # A number stands for the constant element it lifts to.  A real number of

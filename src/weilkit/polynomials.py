@@ -376,8 +376,9 @@ def _name_char(ch: str) -> bool:
 
 def is_variable_name(text: str) -> bool:
     """Whether the grammar reads ``text`` as one variable name: a
-    nonempty run of name characters that does not open with a digit."""
-    return bool(text) and not text[0].isdigit() and all(map(_name_char, text))
+    nonempty run of name characters that does not open with a decimal
+    digit, which the grammar reads as a number."""
+    return bool(text) and not text[0].isdecimal() and all(map(_name_char, text))
 
 
 def parse_polynomial(text: str, names: Sequence[str]) -> Polynomial:
@@ -393,7 +394,7 @@ def parse_polynomial(text: str, names: Sequence[str]) -> Polynomial:
 
     def read_int(p: int) -> Tuple[int, int]:
         start = p
-        while p < n and text[p].isdigit():
+        while p < n and text[p].isdecimal():
             p += 1
         if p == start:
             raise ParseError("expected integer", start)
@@ -430,7 +431,7 @@ def parse_polynomial(text: str, names: Sequence[str]) -> Polynomial:
         exps = [0] * nvars
         saw_factor = False
 
-        if pos < n and text[pos].isdigit():
+        if pos < n and text[pos].isdecimal():
             num, pos = read_int(pos)
             pos2 = skip_ws(pos)
             if pos2 < n and text[pos2] == "/":

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weilkit import algebras, samplers
+from weilkit import algebras, lifting, samplers
 from weilkit.algebras import (
     INTERN_CAPACITY,
     MAX_MONOMIALS,
@@ -46,6 +46,7 @@ from weilkit.errors import (
     ParseError,
     ScalarModeError,
 )
+from weilkit.expressions import parse_smooth_map
 from weilkit.polynomials import (
     Monomial,
     from_monomial,
@@ -188,6 +189,8 @@ def _accepted_name_lists():
     yield tensor(D2, CUSP).names
     yield from (samplers._var_names(n) for n in range(1, 5))
     yield ("x_1", "y2", "_z", "θ")
+    # a superscript digit is no decimal digit, so it may open a name
+    yield ("x", "\u00b2x")
 
 
 def test_accepted_names_read_back_as_their_own_variable():
@@ -347,6 +350,94 @@ def test_inverse_geometric_series():
     assert prod == w.one()
     with pytest.raises(DomainError):
         t.inverse()
+
+
+def _one_variable_elements():
+    """Exact elements of one-variable algebras: every jet order to 16,
+    t^3 - t^5 at order 6 (dimension 3) and an order-1 algebra, with
+    negative and positive units and small and large denominators."""
+    rng = random.Random(15)
+    algebras_ = [jet_algebra(k) for k in range(1, 17)]
+    algebras_ += [algebra(["t"], ["t^3 - t^5"], 6), algebra(["t"], [], 1)]
+    for w in algebras_:
+        for unit in (Fraction(1), Fraction(-3, 7), Fraction(5, 10**30 + 1), Fraction(-(10**20), 3)):
+            for _ in range(6):
+                coords = {
+                    m: Fraction(rng.randint(-9, 9), rng.choice((1, 2, 9, 10**40 + 7)))
+                    for m in w.basis[1:]
+                    if rng.random() < 0.6
+                }
+                coords[w.basis[0]] = unit
+                yield w, w.element(coords)
+
+
+def test_series_inverse_equals_the_geometric_series(monkeypatch):
+    count = 0
+    for w, x in _one_variable_elements():
+        expected = algebras.geometric_inverse(x, w.one(), w.order)
+        with monkeypatch.context() as m:
+            m.setattr(algebras, "geometric_inverse", None)  # the recurrence needs none
+            got = x.inverse()
+        assert got == expected and hash(got) == hash(expected), (w, x)
+        assert got._v == expected._v and got._den == expected._den
+        assert got.algebra is w and x.mul(got) == w.one()
+        count += 1
+    assert count == 18 * 4 * 6
+
+
+def test_series_inverse_keeps_the_zero_augmentation_message():
+    message = "^element with zero augmentation is not invertible$"
+    for w in (jet_algebra(1), jet_algebra(8), algebra(["t"], ["t^3 - t^5"], 6), algebra(["t"], [], 1)):
+        top = w.element({w.basis[-1]: Fraction(-2, 3)}) if w.dimension > 1 else w.zero()
+        for x in (w.zero(), w.var_element(0), top):
+            with pytest.raises(DomainError, match=message):
+                x.inverse()
+
+
+def test_quotient_over_a_long_jet_lifts_fast():
+    w, f = jet_algebra(100), parse_smooth_map("t/(1+t^2)", arity=1)
+    best = math.inf
+    for _ in range(5):
+        started = time.perf_counter()
+        (value,) = lifting.taylor_lift_at(f, w, [Fraction(1, 3)])
+        best = min(best, time.perf_counter() - started)
+    # the geometric series took about 7 ms here, the recurrence under 1 ms
+    assert best < 0.003
+    b = w.displaced_var(0, Fraction(1, 3))
+    assert value.mul(w.one().add(b.mul(b))) == b
+
+
+def test_displaced_rows_are_kept_per_mode_for_equal_algebras():
+    w1, w2 = (algebra(["x", "y"], ["x^2 - y^3"], 6) for _ in range(2))
+    assert w1 is not w2 and w1 == w2
+    values = (Fraction(1, 3), 2, Fraction(-7, 4), 0, 10**30)
+    for w in (w1, w2, w1):
+        for value in values:
+            for i in range(w.nvars):
+                for mode in (RATIONAL, REAL, RATIONAL):
+                    expected = w.const(value, mode).add(w.var_element(i, mode))
+                    got = w.displaced_var(i, value, mode)
+                    assert bits(got) == bits(expected) and got.algebra is w, (w, i, value, mode)
+    # the kept rows are plain numbers, shared through the built state
+    assert w1._displaced is w2._displaced and len(w1._displaced) == 2 * w1.nvars
+    for nums, den in w1._displaced.values():
+        assert all(type(n) in (int, float) for n in (*nums, den))
+
+
+@pytest.mark.parametrize("mode", [RATIONAL, REAL])
+def test_lifts_keep_the_algebra_passed_in(mode):
+    f = parse_smooth_map("t0/(2 + t1) + 3*t1^2 - 1/2", arity=2)
+    for make in (
+        lambda: algebra(["x", "y"], ["x^2 - y^3"], 6),
+        lambda: tensor(jet_algebra(2), jet_algebra(3)),
+    ):
+        w1, w2 = make(), make()
+        assert w1 is not w2 and w1 == w2
+        for w in (w1, w2, w1):
+            values = lifting.taylor_lift_at(f, w, [Fraction(1, 2), Fraction(-3, 4)], mode)
+            assert all(v.algebra is w and v.mode == mode for v in values)
+            assert lifting.weil_context(w, mode).const(1).algebra is w
+        assert values == lifting.taylor_lift_at(f, w2, [Fraction(1, 2), Fraction(-3, 4)], mode)
 
 
 coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=3)

@@ -164,6 +164,34 @@ class TestParsing:
         with pytest.raises(ParseError, match=f"more than {MAX_NODES} nodes"):
             parse_smooth_map(f"{half}, {half}")
 
+    @pytest.mark.parametrize(
+        "text, message, position",
+        [
+            # str.isdigit accepts a superscript digit, which int() cannot read
+            ("t\u00b2", "unknown name 't\u00b2'", 2),
+            ("1\u00b2", "trailing input", 1),
+            ("t^\u00b2", "expected integer", 2),
+            ("\u00b2", "expected expression", 0),
+            ("t" + "1" * 5000, "variable index too long", 0),
+        ],
+        ids=[
+            "superscript-index",
+            "superscript-literal",
+            "superscript-exponent",
+            "superscript",
+            "long-index",
+        ],
+    )
+    def test_digits_are_what_int_reads(self, text, message, position):
+        with pytest.raises(ParseError, match=message) as exc:
+            parse_smooth_map(text)
+        assert exc.value.position == position
+
+    def test_decimal_digits_of_any_script_read_as_int_reads_them(self):
+        # U+0661 is ARABIC-INDIC DIGIT ONE, a decimal digit int() accepts
+        expected = parse_smooth_map("t1 + 12").outputs
+        assert parse_smooth_map("t\u0661 + \u0661\u0662").outputs == expected
+
     @pytest.mark.parametrize("text", ["9" * 5000, "t^" + "9" * 5000])
     def test_integer_too_long_to_read(self, text):
         with pytest.raises(ParseError, match="too long"):

@@ -883,6 +883,33 @@ class TestConstantsStayNumbers:
         assert mode == RATIONAL and values == (w.const(F(3071, 3)),)
         assert calls == {"mul": 0, "inverse": 0}
 
+    @pytest.mark.parametrize("mode", [RATIONAL, REAL])
+    def test_scaling_stores_what_the_constant_product_stores(self, mode):
+        # _scaled copies the rounding of const(s)·x, which skips zero
+        # coordinates and adds into 0.0; a change to the product's
+        # accumulation that _scaled does not mirror fails here
+        rng = random.Random(9)
+        if mode == RATIONAL:
+            scalars = [F(0), F(1), F(-2), F(1, 3), F(-7, 4), F(10**30, 7)]
+        else:
+            scalars = [0.0, -0.0, 1.0, -2.0, 1 / 3, -1.75, 1e-300, -3e200]
+        compared = 0
+        for w in (
+            jet_algebra(1),
+            jet_algebra(4),
+            jet_algebra(8),
+            tensor(jet_algebra(2), jet_algebra(3)),
+            algebra_of(["x", "y"], ["x^2 - y^3"], 6),
+        ):
+            xs = [w.zero(mode), w.displaced_var(0, F(-3, 2), mode)]
+            xs += [random_element(rng, w, mode=mode, max_terms=4) for _ in range(4)]
+            xs += [x.neg() for x in xs]  # in real mode, zero coordinates of -0.0
+            for s in scalars:
+                for x in xs:
+                    assert bits(lifting._scaled(s, x)) == bits(w.const(s, mode).mul(x)), (w, s, x)
+                    compared += 1
+        assert compared == 5 * 12 * len(scalars)
+
     @pytest.mark.parametrize(
         "text, algebra, at, message",
         [

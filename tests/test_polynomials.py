@@ -83,6 +83,21 @@ def test_parse_rejects_malformed(bad):
         P(bad)
 
 
+@pytest.mark.parametrize(
+    "bad, message, position",
+    [
+        # str.isdigit accepts a superscript digit, which int() cannot read
+        ("x^\u00b2", "expected integer", 2),
+        ("1\u00b2*x", "expected '\\*', '\\+', '-' or end after coefficient", 1),
+        ("x + 2/\u00b2", "expected integer", 6),
+    ],
+)
+def test_parse_reads_digits_as_int_does(bad, message, position):
+    with pytest.raises(ParseError, match=message) as exc:
+        P(bad)
+    assert exc.value.position == position
+
+
 def test_parse_rejects_integer_too_long():
     for bad in ("x^" + "9" * 5000, "9" * 5000 + "*x", "1/" + "9" * 5000):
         with pytest.raises(ParseError, match="too long"):

@@ -460,6 +460,22 @@ class TestCliLift:
         assert err.startswith("error: expression nested deeper than")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "expr, message",
+        [
+            # a superscript digit is a digit to str.isdigit, not to int()
+            ("t\u00b2", "error: unknown name 't\u00b2'"),
+            # more digits than int() converts
+            ("t" + "1" * 5000, "error: variable index too long (at position 0)"),
+        ],
+        ids=["superscript-index", "long-index"],
+    )
+    def test_unreadable_variable_index_exits_2(self, expr, message, capsys):
+        assert main(["lift", "--algebra", "dual", "--expr", expr, "--at", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(message) and captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+
     def test_too_many_nodes_exits_2(self, capsys):
         # a sum of n terms has 2n - 1 nodes
         terms = MAX_NODES // 2 + 1
