@@ -834,14 +834,16 @@ class WeilMorphism:
         # the quotient map is a ring homomorphism, so substituting the
         # classes of psibar in the target gives the class of gen(psibar)
         images = [target.from_polynomial(p) for p in self.psibar]
+        powers: dict = {}  # monomial values at the images, shared by both loops
         for gen in source.ideal_generators():
-            if not substitute_poly(gen, images, target.const).is_zero():
+            if not substitute_poly(gen, images, target.const, powers=powers).is_zero():
                 raise IdealViolation(
                     f"generator {gen.format(source.names)} does not map into the target ideal"
                 )
         # the image of each source basis monomial, by basis position
         self._basis_images = [
-            substitute_poly(from_monomial(mono), images, target.const) for mono in source.basis
+            substitute_poly(from_monomial(mono), images, target.const, powers=powers)
+            for mono in source.basis
         ]
 
     def apply(self, element: WeilElement) -> WeilElement:

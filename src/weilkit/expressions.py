@@ -16,6 +16,7 @@ through a Weil algebra lives in the lifting module.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -105,30 +106,62 @@ def fold_expr(root: Expr, rules: Dict[type, Callable], children=_CHILDREN):
     *child_values)`` gives each node's value.  Nodes run in the post-order
     of a recursive walk, except that a node met again in the same call
     keeps its value, memoized on node identity (the dataclasses' hash and
-    equality recurse over the whole tree).  The stack is explicit."""
-    values: Dict[int, object] = {}
+    equality recurse over the whole tree).
+
+    Over the default children the walk is a program kept on the root:
+    (node, *child slots) per distinct node, in that order, and the root's
+    own child slots apart, so that no cycle runs through the root.  The
+    parser writes it; any other root records it during its first fold
+    here, in the same walk that evaluates it, and later folds run it as
+    one flat loop.  The stack is explicit."""
+    values: list = []
+    push = values.append
+    program = getattr(root, "_program", None) if children is _CHILDREN else None
+    if program is not None:
+        program, kids = program
+        for entry in program:
+            node = entry[0]
+            arity = len(entry)
+            if arity == 3:
+                push(rules[type(node)](node, values[entry[1]], values[entry[2]]))
+            elif arity == 2:
+                push(rules[type(node)](node, values[entry[1]]))
+            else:
+                push(rules[type(node)](node))
+        return rules[type(root)](root, *[values[k] for k in kids])
+    program = []
+    slots: Dict[int, int] = {}  # id(node) -> its value's index
     stack: list = [root]  # a bare node is still to visit; (node, children) is ready
     while stack:
         item = stack.pop()
         if type(item) is tuple:
             node, kids = item
             rule = rules[type(node)]
+            entry = (node, *[slots[id(k)] for k in kids])
             if len(kids) == 2:
-                values[id(node)] = rule(node, values[id(kids[0])], values[id(kids[1])])
+                value = rule(node, values[entry[1]], values[entry[2]])
             else:
-                values[id(node)] = rule(node, values[id(kids[0])])
-        elif id(item) not in values:
+                value = rule(node, values[entry[1]])
+        elif id(item) not in slots:
             try:
                 kids_of = children[type(item)]
             except KeyError:
                 raise TypeError(f"unknown expression node {item!r}") from None
-            if kids_of is None:
-                values[id(item)] = rules[type(item)](item)
-            else:
+            if kids_of is not None:
                 kids = kids_of(item)
                 stack.append((item, kids))
                 stack.extend(reversed(kids))
-    return values[id(root)]
+                continue
+            node, entry, value = item, (item,), rules[type(item)](item)
+        else:
+            continue
+        slots[id(node)] = len(values)
+        push(value)
+        program.append(entry)
+    if children is _CHILDREN:
+        last = program.pop()
+        object.__setattr__(root, "_program", (program, last[1:]))
+    return values[-1]
 
 
 @dataclass(frozen=True)
@@ -200,8 +233,7 @@ def max_var_index(e: Expr) -> int:
 
 
 # Deepest nesting of parentheses, primitive calls and unary minus the
-# parser accepts.  Each parenthesis level costs it five Python frames, so
-# this stays well inside the interpreter's default recursion limit of 1000.
+# parser accepts.
 MAX_NESTING = 100
 # MAX_EXPONENT, the largest |exponent| the parser accepts after '^', is
 # the cap that presentations' relations share (see polynomials).
@@ -209,195 +241,198 @@ MAX_NESTING = 100
 # of a 50,000-term sum.  Every walk costs one step per distinct node.
 MAX_NODES = 200_000
 
+# a token is a run of decimal digits, a name, or one other character; so
+# a token that starts with a decimal digit is a number
+_TOKEN = re.compile(r"\s*(\d+|\w+|\S)")
+# infix operator -> (binding power, node type), all left-associative;
+# unary minus binds tighter, '^' tightest, and an open bracket holds 0
+_INFIX = {"+": (1, Add), "-": (1, Sub), "*": (2, Mul), "/": (2, Div)}
+_NEG = (3, Neg)
+_PAREN = (0, "(")
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.depth = 0
-        self.nodes = 0
-        self.top_var = -1  # the highest variable index read, -1 for none
-        self.calls = False  # whether a primitive call was read
 
-    def node(self, cls: type, *fields) -> Expr:
-        """Build one expression node, counting it against MAX_NODES."""
-        self.nodes += 1
-        if self.nodes > MAX_NODES:
-            self.error(f"expression has more than {MAX_NODES} nodes")
-        return cls(*fields)
+def _fail(message: str, text: str, i: int, after: bool = False):
+    """Raise at the start of token i, or at its end; past the last token
+    is the end of the text."""
+    for k, match in enumerate(_TOKEN.finditer(text)):
+        if k == i:
+            raise ParseError(message, match.end() if after else match.start(1))
+    raise ParseError(message, len(text))
 
-    def nested(self, parse: Callable[[], Expr]) -> Expr:
-        """Run one nested production, counting its depth."""
-        if self.depth == MAX_NESTING:
-            self.error(f"expression nested deeper than {MAX_NESTING} levels")
-        self.depth += 1
-        node = parse()
-        self.depth -= 1
-        return node
 
-    def error(self, message: str):
-        raise ParseError(message, self.pos)
+def _too_many() -> str:
+    return f"expression has more than {MAX_NODES} nodes"
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+def _too_deep() -> str:
+    return f"expression nested deeper than {MAX_NESTING} levels"
 
-    def take(self, ch: str) -> bool:
-        if self.peek() == ch:
-            self.pos += 1
-            return True
-        return False
 
-    def expect(self, ch: str):
-        if not self.take(ch):
-            self.error(f"expected {ch!r}")
-
-    def read_int(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
-            self.pos += 1
-        if self.pos == start:
-            self.error("expected integer")
-        try:
-            return int(self.text[start : self.pos])
-        except ValueError:  # more digits than int() converts
-            self.pos = start
-            self.error("integer literal too long")
-
-    def read_name(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-        ):
-            self.pos += 1
-        if self.pos == start:
-            self.error("expected name")
-        return self.text[start : self.pos]
-
-    # expr := term (('+'|'-') term)*
-    def expr(self) -> Expr:
-        node = self.term()
+def _parse(text: str):
+    """(outputs, highest variable index, whether a primitive is called),
+    in one operator-precedence pass over the tokens.  Each output root
+    keeps its program: (node, *child slots) in creation order, a postorder
+    that fold_expr runs flat.  A leading '(' opens a tuple if a ',' meets
+    it; until then it counts one level of nesting, and a nesting that
+    would overflow only with that level counted raises when the bracket
+    turns out to be no tuple."""
+    tokens = _TOKEN.findall(text)
+    end = len(tokens)
+    outputs: List[Expr] = []
+    prog: list = []  # the current output's program
+    out: List[int] = []  # program slots of the operands read
+    ops: list = []  # pending operators and open brackets: (binding power, kind)
+    room = MAX_NODES  # nodes the current output may still build
+    depth, limit = 0, MAX_NESTING
+    top_var, calls = -1, False
+    outer = 0  # 1 while a leading '(' may open a tuple, 2 inside that tuple
+    deep_at = None  # the token at which that '(', read as a bracket, nests too deep
+    i = 0
+    while True:
+        # an operand: prefix minus signs and open brackets, then a leaf
         while True:
-            c = self.peek()
-            if c == "+":
-                self.pos += 1
-                node = self.node(Add, node, self.term())
-            elif c == "-":
-                self.pos += 1
-                node = self.node(Sub, node, self.term())
+            if i == end:
+                _fail("expected expression", text, i)
+            token = tokens[i]
+            if token in PRIMITIVES:
+                i += 1
+                if i == end or tokens[i] != "(":
+                    _fail("expected '('", text, i)
+                opened, calls = (0, token), True
+            elif token == "(":
+                opened = _PAREN
+            elif token == "-":
+                opened = _NEG
             else:
-                return node
-
-    # term := factor (('*'|'/') factor)*
-    def term(self) -> Expr:
-        node = self.factor()
-        while True:
-            c = self.peek()
-            if c == "*":
-                self.pos += 1
-                node = self.node(Mul, node, self.factor())
-            elif c == "/":
-                self.pos += 1
-                node = self.node(Div, node, self.factor())
-            else:
-                return node
-
-    # factor := '-' factor | power
-    def factor(self) -> Expr:
-        if self.peek() == "-":
-            self.pos += 1
-            return self.node(Neg, self.nested(self.factor))
-        return self.power()
-
-    # power := atom ('^' '-'? INT)*
-    def power(self) -> Expr:
-        node = self.atom()
-        while self.peek() == "^":
-            self.pos += 1
-            sign = -1 if self.take("-") else 1
-            exponent = self.read_int()
-            if exponent > MAX_EXPONENT:
-                self.error(f"exponent {exponent} exceeds {MAX_EXPONENT}")
-            node = self.node(Pow, node, sign * exponent)
-        return node
-
-    def atom(self) -> Expr:
-        c = self.peek()
-        if c == "(":
-            self.pos += 1
-            node = self.nested(self.expr)
-            if self.peek() == ",":
-                self.error("tuple syntax is only allowed at the top level")
-            self.expect(")")
-            return node
-        if c.isdecimal():
-            return self.node(Const, Fraction(self.read_int()))
-        if c.isalpha() or c == "_":
-            name = self.read_name()
-            if name in PRIMITIVES:
-                self.expect("(")
-                arg = self.nested(self.expr)
-                self.expect(")")
-                self.calls = True
-                return self.node(Call, name, arg)
-            if name.startswith("t") and name[1:].isdecimal():
+                break
+            if depth == limit:
+                _fail(_too_deep(), text, i, True)
+            if depth == MAX_NESTING and deep_at is None:
+                deep_at = i
+            if i == 0 and token == "(":
+                outer, limit = 1, limit + 1
+            depth += 1
+            ops.append(opened)
+            i += 1
+        first = token[0]
+        if first.isdecimal():
+            try:
+                node = Const(Fraction(int(token)))
+            except ValueError:  # more digits than int() converts
+                _fail("integer literal too long", text, i)
+        elif first.isalpha() or first == "_":
+            if first == "t" and token[1:].isdecimal():
                 try:
-                    index = int(name[1:])
+                    index = int(token[1:])
                 except ValueError:  # more digits than int() converts
-                    self.pos -= len(name)
-                    self.error("variable index too long")
-            elif name in VAR_ALIASES:
-                index = VAR_ALIASES[name]
+                    _fail("variable index too long", text, i)
+            elif token in VAR_ALIASES:
+                index = VAR_ALIASES[token]
             else:
-                self.error(f"unknown name {name!r}")
-            self.top_var = max(self.top_var, index)
-            return self.node(Var, index)
-        self.error("expected expression")
-
-    def expr_list(self) -> List[Expr]:
-        # optional outer parens around a comma list: "(e1, e2, ...)"
-        self.skip_ws()
-        snapshot = self.pos
-        if self.take("("):
-            exprs = [self.expr()]
-            if self.peek() == ",":
-                while self.take(","):
-                    exprs.append(self.expr())
-                self.expect(")")
-                self.skip_ws()
-                if self.pos != len(self.text):
-                    self.error("trailing input after tuple")
-                return exprs
-            # plain parenthesized expression; rewind and parse normally
-            self.pos = snapshot
-        exprs = [self.expr()]
-        while self.take(","):
-            exprs.append(self.expr())
-        self.skip_ws()
-        if self.pos != len(self.text):
-            self.error("trailing input")
-        return exprs
+                _fail(f"unknown name {token!r}", text, i, True)
+            if index > top_var:
+                top_var = index
+            node = Var(index)
+        else:
+            _fail("expected expression", text, i)
+        out.append(len(prog))
+        prog.append((node,))
+        if len(prog) > room:
+            _fail(_too_many(), text, i, True)
+        i += 1
+        # after an operand: powers, infix operators and closing brackets
+        while True:
+            while i < end and tokens[i] == "^":
+                i += 1
+                sign = 1
+                if i < end and tokens[i] == "-":
+                    sign, i = -1, i + 1
+                if i == end or not tokens[i][0].isdecimal():
+                    _fail("expected integer", text, i)
+                try:
+                    exponent = int(tokens[i])
+                except ValueError:  # more digits than int() converts
+                    _fail("integer literal too long", text, i)
+                if exponent > MAX_EXPONENT:
+                    _fail(f"exponent {exponent} exceeds {MAX_EXPONENT}", text, i, True)
+                base = out[-1]
+                out[-1] = len(prog)
+                prog.append((Pow(prog[base][0], sign * exponent), base))
+                if len(prog) > room:
+                    _fail(_too_many(), text, i, True)
+                i += 1
+            token = tokens[i] if i < end else None
+            infix = _INFIX.get(token)
+            power = infix[0] if infix else 1
+            while ops and ops[-1][0] >= power:
+                kind = ops.pop()[1]
+                arg = out[-1]
+                out[-1] = len(prog)
+                if kind is Neg:
+                    depth -= 1
+                    prog.append((Neg(prog[arg][0]), arg))
+                else:
+                    left = out.pop(-2)
+                    prog.append((kind(prog[left][0], prog[arg][0]), left, arg))
+                if len(prog) > room:
+                    _fail(_too_many(), text, i)
+            if infix:
+                ops.append(infix)
+                i += 1
+                break
+            if outer == 1 and len(ops) == 1:  # the expression in a leading '(' is read
+                if token == ",":
+                    outer, depth, limit = 2, 0, MAX_NESTING
+                elif deep_at is not None:
+                    _fail(_too_deep(), text, deep_at, True)
+                else:
+                    outer, limit = 0, MAX_NESTING
+            if ops and not (outer == 2 and len(ops) == 1):
+                kind = ops[-1][1]
+                if token == ")":
+                    ops.pop()
+                    depth -= 1
+                    if kind != "(":
+                        arg = out[-1]
+                        out[-1] = len(prog)
+                        prog.append((Call(kind, prog[arg][0]), arg))
+                        if len(prog) > room:
+                            _fail(_too_many(), text, i, True)
+                    i += 1
+                    continue
+                if token == "," and kind == "(":
+                    _fail("tuple syntax is only allowed at the top level", text, i)
+                _fail("expected ')'", text, i)
+            # an output is read
+            out.pop()
+            room -= len(prog)  # its root included
+            root, *kids = prog.pop()
+            object.__setattr__(root, "_program", (prog, kids))
+            outputs.append(root)
+            prog = []
+            if token == ",":
+                i += 1
+                break
+            if not ops:
+                if token is not None:
+                    _fail("trailing input", text, i)
+                return outputs, top_var, calls
+            if token != ")":
+                _fail("expected ')'", text, i)
+            if i + 1 < end:
+                _fail("trailing input after tuple", text, i + 1)
+            return outputs, top_var, calls
 
 
 def parse_smooth_map(text: str, arity: int | None = None) -> SmoothMap:
     if not text.strip():
         raise ParseError("empty expression", 0)
-    parser = _Parser(text)
-    outputs = tuple(parser.expr_list())
-    # a parenthesised start that is no tuple is read twice, but its
-    # second reading meets the same variables
-    used = parser.top_var
+    outputs, used, calls = _parse(text)
     if arity is None:
         arity = used + 1
     elif used >= arity:
         raise ParseError(f"expression uses t{used} but arity is {arity}")
-    return SmoothMap(arity, outputs, parser.calls)
+    return SmoothMap(arity, tuple(outputs), calls)
 
 
 # ---------------------------------------------------------------------------
@@ -563,9 +598,9 @@ _FORMAT: Dict[type, Callable] = {
         str(e.value), 0 if e.value < 0 else 1 if e.value.denominator != 1 else _ATOMIC
     ),
     Var: lambda e: (f"t{e.index}", _ATOMIC),
-    Add: lambda e, l, r: ((_slot(l, 1), " + ", _slot(r, 1)), 1),
+    Add: lambda e, l, r: ((_slot(l, 1), " + ", _slot(r, 2)), 1),
     Sub: lambda e, l, r: ((_slot(l, 1), " - ", _slot(r, 2)), 1),
-    Mul: lambda e, l, r: ((_slot(l, 2), "*", _slot(r, 2)), 2),
+    Mul: lambda e, l, r: ((_slot(l, 2), "*", _slot(r, 3)), 2),
     Div: lambda e, l, r: ((_slot(l, 2), "/", _slot(r, 3)), 2),
     Neg: lambda e, a: (("-", _slot(a, 3)), 1),
     Pow: lambda e, b: ((_slot(b, 4), f"^{e.exponent}"), _ATOMIC),

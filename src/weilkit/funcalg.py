@@ -280,7 +280,8 @@ def postcompose(phi: SmoothMap, point: CarrierPoint) -> CarrierPoint:
         raise AlgebraMismatch("map arity does not match the carrier tuple")
     n, algebra = point.domain.base_arity, point.domain.weil
     const = lambda c: wpoly_const(n, algebra, c)
-    outputs = tuple(substitute_poly(p, point.data, const) for p in polys)
+    powers: dict = {}
+    outputs = tuple(substitute_poly(p, point.data, const, powers=powers) for p in polys)
     return CarrierPoint(Euclidean(phi.coarity), point.domain, outputs)
 
 
@@ -317,8 +318,9 @@ class DomainMorphism:
                 raise AlgebraMismatch("image outside the target carrier")
         n, algebra = target.base_arity, target.weil
         const = lambda c: wpoly_const(n, algebra, c)
+        powers: dict = {}
         for gen in source.weil.ideal_generators():
-            image = substitute_poly(gen, self.weil_part, const)
+            image = substitute_poly(gen, self.weil_part, const, powers=powers)
             if not image.is_zero():
                 raise IdealViolation(
                     f"images do not annihilate the relation {gen.format(source.weil.names)}"
@@ -837,7 +839,8 @@ def check_coproduct_currying(
         const = lambda c: curried_const(
             c1.base_arity, c1.weil, c2.base_arity, c2.weil, c
         )
-        path2 = tuple(substitute_poly(poly, curried_args, const) for poly in polys)
+        powers: dict = {}
+        path2 = tuple(substitute_poly(poly, curried_args, const, powers=powers) for poly in polys)
         report.record_case(
             path1 == path2,
             {"case": label, "sample": i, "kind": "curry-naturality"},

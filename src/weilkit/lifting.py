@@ -349,7 +349,11 @@ def lift_expr(e: Expr, args: Sequence, ctx: LiftContext):
                 return base**n
             return times_power(1.0, base, n, _times)
         if n < 0:
-            base, n = base.inverse(), -n
+            if series:  # by the quotient recurrence, as 1/base is
+                base = _real(base.algebra, _quotient_series(const(1.0)._v, base._v))
+            else:
+                base = base.inverse()
+            n = -n
         if n < 2:
             # 1·base has base's nonzero coordinates, but a zero one reads +0.0
             return times_power(const(Fraction(1)), base, n)

@@ -300,19 +300,42 @@ def times_power(acc, base, exponent: int, mul=lambda a, b: a.mul(b)):
     return acc
 
 
-def substitute_poly(poly: Polynomial, args: Sequence, const, mul=lambda a, b: a.mul(b)):
+def substitute_poly(
+    poly: Polynomial, args: Sequence, const, mul=lambda a, b: a.mul(b), powers=None
+):
     """The one substitution loop: evaluate a rational-coefficient
     polynomial at ``args`` in any commutative ring presented through add
-    and ``mul``, with ``const`` embedding rationals."""
+    and ``mul``, with ``const`` embedding rationals.  A monomial's value
+    is its predecessor's, the last exponent lowered by one, times one
+    argument; the dict ``powers`` keeps those values, so calls at the
+    same args may share it.  A coefficient of 1 multiplies nothing."""
     if len(args) != poly.nvars:
         raise AlgebraMismatch("wrong number of substitution arguments")
+    if powers is None:
+        powers = {}
     acc = const(Fraction(0))
     for mono, coeff in poly.sorted_terms():
-        term = const(coeff)
-        for arg, e in zip(args, mono):
-            term = times_power(term, arg, e, mul)
+        if any(mono):
+            value = _monomial_value(mono, args, mul, powers)
+            term = value if coeff == 1 else mul(const(coeff), value)
+        else:
+            term = const(coeff)
         acc = acc.add(term)
     return acc
+
+
+def _monomial_value(mono: Monomial, args: Sequence, mul, powers: dict):
+    """args^mono, walked up to from 1 through its predecessors: the first
+    variable's powers, then the second's, and so on."""
+    value, prefix = None, [0] * len(mono)
+    for i, e in enumerate(mono):
+        for _ in range(e):
+            prefix[i] += 1
+            key = tuple(prefix)
+            if key not in powers:
+                powers[key] = args[i] if value is None else mul(value, args[i])
+            value = powers[key]
+    return value
 
 
 def format_terms(terms: Iterable[Tuple[Monomial, object]], names: Sequence[str]) -> str:

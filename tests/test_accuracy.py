@@ -117,6 +117,32 @@ def test_non_jet_one_variable_algebra_is_within_the_bound():
     assert worst[0] <= BOUND, worst
 
 
+NEGATIVE_POWERS = [
+    ("(1 - t)^-1", [0.0, 0.5, -0.5, 0.9]),
+    ("(2 + t^2)^-3", [0.0, 0.7, -1.3]),
+    ("(t - 3)^-2", [0.5, -2.0, 2.9]),
+    ("(1 + sin(t))^-1", [0.0, 1.2, -0.4]),
+]
+
+
+def test_real_negative_powers_are_within_the_bound():
+    """Over one variable a negative power inverts by the quotient
+    recurrence, as a quotient does."""
+    lifts = 0
+    for w in [jet_algebra(k) for k in (2, 4, 8, 12, 16)] + [
+        mk_weil_algebra(WeilPresentation(("t",), ("t^3 - t^5",), 6))
+    ]:
+        d = w.dimension
+        for text, points in NEGATIVE_POWERS:
+            f, ref_f = parse_smooth_map(text, arity=1), mp_function(text, 1)
+            for p in points:
+                (value,) = taylor_lift_at(f, w, [p], REAL)
+                err = relative_error(coefficients(value, w), mpmath.taylor(ref_f, _mp(p), d - 1))
+                assert err <= BOUND, (text, p, d, err)
+                lifts += 1
+    assert lifts == 6 * 13
+
+
 BIVARIATE = [
     ("sin(x)*y + exp(x*y)", (0.4, -0.7)),
     ("log(1 + x^2 + y^2)", (0.9, 0.3)),

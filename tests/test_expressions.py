@@ -1,22 +1,29 @@
+import json
 import math
 from fractions import Fraction
 
 import pytest
 from expr_corpus import CORPUS
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from parser_fixture import FIXTURE, expand, outcome
 
+from weilkit import expressions
 from weilkit.algebras import preset_algebra
 from weilkit.errors import DomainError, ParseError, ScalarModeError
 from weilkit.expressions import (
     MAX_EXPONENT,
     MAX_NESTING,
     MAX_NODES,
+    PRIMITIVES,
     Add,
     Call,
     Const,
+    Div,
     Mul,
+    Neg,
     Pow,
     SmoothMap,
+    Sub,
     Var,
     compose_maps,
     eval_expr_exact,
@@ -196,6 +203,103 @@ class TestParsing:
     def test_integer_too_long_to_read(self, text):
         with pytest.raises(ParseError, match="too long"):
             parse_smooth_map(text)
+
+    def test_parenthesized_start_counts_its_nodes_once(self):
+        # a sum of 60,000 terms has 119,999 nodes, within the bound
+        # once and past it twice
+        (out,) = parse_smooth_map("(" + "+".join(["t"] * 60_000) + ")").outputs
+        program, _ = out._program
+        assert type(out) is Add and len(program) + 1 == 119_999
+
+    def test_node_past_the_bound_fails_where_it_is_built(self):
+        # a sum of 100,001 terms builds its 200,001st node, the last
+        # Add, on reading the '+' after it; the parse stops there
+        text = "+".join(["t"] * (MAX_NODES // 2 + 1)) + "+t"
+        with pytest.raises(ParseError, match=f"more than {MAX_NODES} nodes") as exc:
+            parse_smooth_map(text)
+        assert exc.value.position == len(text) - 2
+
+    def test_each_output_keeps_its_program(self):
+        f = parse_smooth_map("(t^2 + sin(t)*3, -y)")
+        for root, size in zip(f.outputs, (6, 1)):
+            program, kids = root._program
+            assert len(program) == size and len(kids) == len(expressions._CHILDREN[type(root)](root))
+            # one entry per node but the root, each after its children
+            for position, (node, *slots) in enumerate(program + [(root, *kids)]):
+                children = expressions._CHILDREN[type(node)]
+                assert list(map(id, children(node) if children else ())) == [
+                    id(program[k][0]) for k in slots
+                ]
+                assert all(k < position for k in slots)
+        assert eval_map_float(f, [0.5, 2.0]) == (0.25 + 3 * math.sin(0.5), -2.0)
+
+    def test_a_built_root_records_its_program_on_its_first_fold(self):
+        h = compose_maps(parse_smooth_map("t*t + t"), parse_smooth_map("t^2 + 1"))
+        (root,) = h.outputs
+        assert not hasattr(root, "_program")
+        assert eval_map_float(h, [2.0]) == (30.0,)
+        # the inner map's four nodes once, though the expanded tree has 14
+        program, kids = root._program
+        assert len(program) + 1 == 4 + 2 and len(kids) == 2
+        assert eval_map_float(h, [2.0]) == (30.0,) and root._program[0] is program
+
+
+_PINNED = json.loads(FIXTURE.read_text(encoding="utf-8"))
+
+
+def test_the_fixture_covers_every_kind_of_input():
+    assert len(_PINNED) >= 5000
+    kinds = {row[2][0] for row in _PINNED}
+    assert kinds == {"map", "error"}  # nothing else raised
+    texts = [expand(row[0]) for row in _PINNED]
+    assert any("\xa0" in t for t in texts) and any("\u0661" in t for t in texts)
+    messages = {row[2][1] for row in _PINNED if row[2][0] == "error"}
+    for cap in ("nested deeper than", "exceeds", "literal too long", "index too long", "nodes"):
+        assert any(cap in m for m in messages), cap
+
+
+def test_parser_matches_the_pinned_outcomes(monkeypatch):
+    """Every pinned text parses as it did, except that a parenthesized
+    start that is no tuple now counts its nodes once."""
+    doubled = 0
+    for text, arity, pinned, *options in _PINNED:
+        options = options[0] if options else {}
+        monkeypatch.setattr(expressions, "MAX_NODES", options.get("max_nodes", MAX_NODES))
+        got = outcome(expand(text), arity)
+        if options.get("doubled"):
+            assert pinned[:2] == ["error", f"expression has more than {options['max_nodes']} nodes"]
+            assert got[0] == "map", text
+            doubled += 1
+        else:
+            assert got == pinned, expand(text)
+    assert doubled == 6
+
+
+# the parser's image: integer literals, variables, bounded exponents
+_LEAVES = st.one_of(
+    st.integers(0, 10**6).map(lambda n: Const(Fraction(n))),
+    st.integers(0, 12).map(Var),
+)
+
+
+def _branches(kids):
+    return st.one_of(
+        *(st.tuples(kids, kids).map(lambda lr, op=op: op(*lr)) for op in (Add, Sub, Mul, Div)),
+        kids.map(Neg),
+        st.tuples(kids, st.integers(-MAX_EXPONENT, MAX_EXPONENT)).map(lambda b: Pow(*b)),
+        st.tuples(st.sampled_from(PRIMITIVES), kids).map(lambda c: Call(*c)),
+    )
+
+
+_MAPS = st.lists(st.recursive(_LEAVES, _branches, max_leaves=30), min_size=1, max_size=3).map(
+    lambda outs: SmoothMap(max(max_var_index(o) for o in outs) + 1, tuple(outs))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_MAPS)
+def test_formatted_map_parses_back_to_itself(f):
+    assert parse_smooth_map(format_map(f)) == f
 
 
 class TestEvaluation:

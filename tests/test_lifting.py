@@ -838,6 +838,17 @@ class TestSharedPowers:
         class_of(parse_smooth_map("t^9 + t^2 + t^6"), jet_algebra(4))
         assert len(products) == 2 * 4 + 4
 
+    def test_real_negative_power_over_one_variable_inverts_by_the_recurrence(self, monkeypatch):
+        products = []
+        mul = WeilElement.mul
+        monkeypatch.setattr(WeilElement, "mul", lambda a, b: products.append(1) or mul(a, b))
+        w = jet_algebra(16)
+        (power,) = taylor_lift_at(parse_smooth_map("(1 - t)^-1"), w, [0.5], REAL)
+        # the one product is 1·base, which reads every zero coordinate as +0.0
+        assert len(products) == 1
+        (quotient,) = taylor_lift_at(parse_smooth_map("1/(1 - t)"), w, [0.5], REAL)
+        assert len(products) == 1 and power == quotient
+
 
 class TestConstantsStayNumbers:
     """A subexpression without variables lifts to a constant; it is kept

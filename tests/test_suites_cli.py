@@ -1,5 +1,7 @@
 """Config parsing, the suite runner, report determinism, and the CLI."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -10,6 +12,8 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weilkit import cli
 from weilkit.cli import main
@@ -694,3 +698,59 @@ class TestCliUsage:
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 2
         capsys.readouterr()
+
+
+# --- fuzzing `weilkit lift --expr` over the expression grammar ---------------
+#
+# Powers sit on leaves only, plus one exponent of any size on the whole
+# text.  Exact numbers have no size bound, and nested powers grow past
+# any time bound: on a 2-vCPU host, ((2^1000)^1000)^300 takes about 2 s
+# and 140 MB before it exits 3, and each further ^1000 multiplies the
+# size of the number by 1000.
+
+_LEAF = st.sampled_from(["t", "x", "y", "t0", "t1", "t12", "0", "1", "2", "7", "1/3", "١"])
+_POWERED_LEAF = st.tuples(_LEAF, st.integers(-3, 3)).map(lambda p: f"{p[0]}^{p[1]}")
+
+
+def _compound(kids):
+    return st.one_of(
+        st.tuples(kids, st.sampled_from(["+", "-", "*", "/"]), kids).map(" ".join),
+        kids.map(lambda k: f"-{k}"),
+        kids.map(lambda k: f"({k})"),
+        st.tuples(st.sampled_from(["sin", "cos", "exp", "log", "sqrt"]), kids).map(
+            lambda c: f"{c[0]}({c[1]})"
+        ),
+    )
+
+
+_WELL_FORMED = st.recursive(st.one_of(_LEAF, _POWERED_LEAF), _compound, max_leaves=8)
+_TOKEN_SOUP = st.lists(
+    st.sampled_from(
+        ["t", "x", "1", "12", "+", "-", "*", "/", "^", "^-", "(", ")", ",", "sin(", "exp(",
+         " ", "\xa0", "\t", "١", "²", "é", "_", ".", "z", "t" + "1" * 5000]
+    ),
+    max_size=12,
+).map("".join)
+_EXPRESSIONS = st.one_of(
+    _WELL_FORMED,
+    st.tuples(_WELL_FORMED, st.integers(-1000, 1000)).map(lambda p: f"({p[0]})^{p[1]}"),
+    st.lists(_WELL_FORMED, min_size=2, max_size=3).map(lambda outs: "(" + ", ".join(outs) + ")"),
+    _TOKEN_SOUP,
+)
+_POINTS = st.sampled_from(["0", "1", "-1", "1/2", "-3/7", "12345678", "2,5", "١", "1/0", "x", ""])
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.sampled_from(["dual", "jet2", "jet3", "d2"]), _EXPRESSIONS, _POINTS)
+def test_lift_fuzz_ends_in_an_exit_code(algebra, expr, at):
+    out, err = io.StringIO(), io.StringIO()
+    started = time.monotonic()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["lift", "--algebra", algebra, "--expr", expr, "--at", at])
+    assert time.monotonic() - started < 5.0
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert out.getvalue().startswith("mode ") and err.getvalue() == ""
+    else:
+        assert err.getvalue().startswith(("error: ", "usage: ")) and len(err.getvalue().splitlines()) <= 3
