@@ -40,6 +40,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
+from itertools import compress
 from operator import add, mul
 from pathlib import Path
 from types import MappingProxyType
@@ -678,18 +679,48 @@ def geometric_inverse(x, one, order: int):
 
 class RingCoords:
     """Sparse coordinates on a basis with coefficients in a second ring:
-    ``terms`` maps basis keys to nonzero coefficients, each of which has
-    add, neg, scale, mul and is_zero.  The ring operations are written
-    once here.  A subclass supplies ``_shape()``, the data operands must
-    share, which ``_new`` passes to the constructor ahead of the terms;
-    ``_key_product(k1, k2)``, the product of two basis keys as (key,
-    rational factor) pairs; and an ``__init__`` that validates the terms,
-    drops zero coefficients and sorts the keys."""
+    ``terms`` maps basis keys, in graded-lex order, to nonzero
+    coefficients, each of which has add, neg, scale, mul and is_zero.
+    The ring operations are written once here.  A subclass supplies
+    ``_shape()``, the data operands must share; ``_key_product(k1,
+    k2)``, the product of two basis keys as (key, rational factor)
+    pairs; ``_sort_key``, the graded-lex key of a basis key, if its keys
+    are not monomials; ``_fill(terms, *fields)``, which stores its
+    fields and the terms, unchecked; and a public ``__init__`` that
+    validates its arguments, then fills.
+
+    A value built from operands that are already valid -- every ring
+    operation's result, and the regroupings and basis vectors the
+    kernel enumerates -- comes from ``_build``, which fills without the
+    checks.  Both ways store the terms through ``_settle``, which alone
+    drops zero coefficients and sorts the keys, so ``==``, ``hash`` and
+    ``format`` cannot tell the two apart."""
 
     __slots__ = ("terms",)
     # carrier polynomials and curried values are exact; a subclass that
     # carries either mode stores its own
     mode = RATIONAL
+    _sort_key = staticmethod(Monomial.key)
+
+    @classmethod
+    def _build(cls, terms: Mapping, *fields) -> "RingCoords":
+        """The value the public constructor builds from these terms and
+        shape fields (in ``_fill``'s order), for arguments already known
+        to be valid."""
+        self = object.__new__(cls)
+        self._fill(terms, *fields)
+        return self
+
+    def _fill(self, terms: Mapping, *fields) -> None:
+        raise NotImplementedError
+
+    def _settle(self, terms: Mapping) -> None:
+        clean = {}
+        for key in sorted(terms, key=self._sort_key) if len(terms) > 1 else terms:
+            c = terms[key]
+            if not c.is_zero():
+                clean[key] = c
+        self.terms = clean
 
     def _shape(self) -> tuple:
         raise NotImplementedError
@@ -698,7 +729,8 @@ class RingCoords:
         raise NotImplementedError
 
     def _new(self, terms: dict) -> "RingCoords":
-        return type(self)(*self._shape(), terms)
+        # a subclass whose fields are more than its shape overrides this
+        return self._build(terms, *self._shape())
 
     def _match(self, other: "RingCoords") -> None:
         if type(other) is not type(self) or self._shape() != other._shape():
@@ -1027,16 +1059,18 @@ def tensor_split(
     t: WeilAlgebra, w1: WeilAlgebra, w2: WeilAlgebra, element: WeilElement
 ) -> Dict[int, WeilElement]:
     """The inverse of ``tensor_join``: the nonzero parts of an element of
-    t = w1 (x) w2, by basis position of w1, each an element of w2."""
+    t = w1 (x) w2, by basis position of w1, each an element of w2.  Only
+    the element's nonzero coordinates are read; a basis vector has one."""
     pairs = _factor_positions(t, w1, w2)[1]
+    v = element._v
     real = element.mode == REAL
     groups: Dict[int, list] = {}
-    for (i, j), c in zip(pairs, element._v):
-        if c:
-            vec = groups.get(i)
-            if vec is None:
-                vec = groups[i] = [0.0 if real else 0] * w2.dimension
-            vec[j] = c
+    for p in compress(range(len(v)), v):
+        i, j = pairs[p]
+        vec = groups.get(i)
+        if vec is None:
+            vec = groups[i] = [0.0 if real else 0] * w2.dimension
+        vec[j] = v[p]
     if real:
         return {i: _real(w2, vec) for i, vec in groups.items()}
     return {i: _exact(w2, vec, element._den) for i, vec in groups.items()}

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -30,55 +30,74 @@ VAR_ALIASES: Dict[str, int] = {"t": 0, "x": 0, "y": 1}
 
 
 class Expr:
+    """An expression node.  ``==``, ``hash`` and ``repr`` walk the tree
+    with an explicit stack, so a deep tree compares, hashes and prints
+    as a shallow one does; the repr is the dataclass repr's text."""
+
     __slots__ = ()
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _same_tree(self, other)
 
-@dataclass(frozen=True)
+    def __hash__(self) -> int:
+        return fold_expr(self, _HASH)
+
+    def __repr__(self) -> str:
+        return _join(fold_expr(self, _REPR))
+
+
+# the node types keep Expr's ==, hash and repr
+_node = dataclass(frozen=True, eq=False, repr=False)
+
+
+@_node
 class Const(Expr):
     value: Fraction
 
 
-@dataclass(frozen=True)
+@_node
 class Var(Expr):
     index: int
 
 
-@dataclass(frozen=True)
+@_node
 class Add(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Sub(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Mul(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Div(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Neg(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Pow(Expr):
     base: Expr
     exponent: int
 
 
-@dataclass(frozen=True)
+@_node
 class Call(Expr):
     fn: str
     arg: Expr
@@ -99,14 +118,17 @@ _CHILDREN: Dict[type, Optional[Callable[[Expr], Tuple[Expr, ...]]]] = {
 }
 # the arithmetic fragment: a primitive call is opaque, its argument unvisited
 _ARITHMETIC_CHILDREN = {**_CHILDREN, Call: None}
+# node type -> its field names in declaration order; the children are
+# the fields that hold nodes, in the same order
+_FIELDS = {cls: tuple(f.name for f in fields(cls)) for cls in _CHILDREN}
 
 
 def fold_expr(root: Expr, rules: Dict[type, Callable], children=_CHILDREN):
     """Fold an expression DAG bottom-up; ``rules[type(node)](node,
     *child_values)`` gives each node's value.  Nodes run in the post-order
     of a recursive walk, except that a node met again in the same call
-    keeps its value, memoized on node identity (the dataclasses' hash and
-    equality recurse over the whole tree).
+    keeps its value, memoized on node identity (a node's hash and
+    equality walk its whole tree).
 
     Over the default children the walk is a program kept on the root:
     (node, *child slots) per distinct node, in that order, and the root's
@@ -608,15 +630,75 @@ _FORMAT: Dict[type, Callable] = {
 }
 
 
-def format_expr(e: Expr) -> str:
-    out, stack = [], [fold_expr(e, _FORMAT)[0]]
+def _join(pieces) -> str:
+    """The text of a string nested in sequences, flattened with an
+    explicit stack."""
+    out, stack = [], [pieces]
     while stack:
-        pieces = stack.pop()
-        if isinstance(pieces, str):
-            out.append(pieces)
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
         else:
-            stack.extend(reversed(pieces))
+            stack.extend(reversed(item))
     return "".join(out)
+
+
+def format_expr(e: Expr) -> str:
+    return _join(fold_expr(e, _FORMAT)[0])
+
+
+# ---------------------------------------------------------------------------
+# node equality, hash and repr
+
+
+def _same_tree(a: Expr, b: Expr) -> bool:
+    """Whether two nodes have equal fields all the way down, as the
+    dataclass ``==`` decides; a pair of nodes met again (a shared
+    subtree) is compared once."""
+    stack = [(a, b)]
+    seen = set()
+    while stack:
+        x, y = stack.pop()
+        if x is y:
+            continue
+        if type(x) is not type(y):
+            return False
+        pair = (id(x), id(y))
+        if pair in seen:
+            continue
+        seen.add(pair)
+        for name in _FIELDS[type(x)]:
+            u, v = getattr(x, name), getattr(y, name)
+            if isinstance(u, Expr):
+                stack.append((u, v))
+            elif not (u is v or u == v):
+                return False
+    return True
+
+
+_HASH: Dict[type, Callable] = {
+    Const: lambda e: hash((Const, e.value)),
+    Var: lambda e: hash((Var, e.index)),
+    **{op: lambda e, l, r: hash((type(e), l, r)) for op in (Add, Sub, Mul, Div)},
+    Neg: lambda e, a: hash((Neg, a)),
+    Pow: lambda e, b: hash((Pow, b, e.exponent)),
+    Call: lambda e, a: hash((Call, e.fn, a)),
+}
+
+
+def _repr_pieces(e: Expr, *kids):
+    # ``Type(name=value, ...)``, a child's pieces standing in for its value
+    kids = iter(kids)
+    pieces = [f"{type(e).__qualname__}("]
+    for k, name in enumerate(_FIELDS[type(e)]):
+        value = getattr(e, name)
+        pieces.append(f", {name}=" if k else f"{name}=")
+        pieces.append(next(kids) if isinstance(value, Expr) else repr(value))
+    pieces.append(")")
+    return pieces
+
+
+_REPR = dict.fromkeys(_CHILDREN, _repr_pieces)
 
 
 def format_map(f: SmoothMap) -> str:

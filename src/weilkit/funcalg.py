@@ -39,6 +39,7 @@ from .lifting import Euclidean, FragmentSpace, Product
 from .polynomials import (
     Monomial,
     Polynomial,
+    _monomial,
     monomials_up_to_degree,
     substitute_poly,
     times_power,
@@ -66,19 +67,19 @@ class WeilPoly(RingCoords):
     __slots__ = ("nvars", "algebra")
 
     def __init__(self, nvars: int, algebra: WeilAlgebra, terms: Mapping[Monomial, WeilElement]):
-        self.nvars = nvars
-        self.algebra = algebra
-        clean: Dict[Monomial, WeilElement] = {}
-        for mono, coeff in sorted(terms.items(), key=lambda kv: kv[0].key()):
+        for mono, coeff in terms.items():
             if len(mono) != nvars:
                 raise AlgebraMismatch("monomial arity mismatch in coefficients")
             if coeff.algebra != algebra:
                 raise AlgebraMismatch("coefficient outside the coefficient algebra")
             if coeff.mode != RATIONAL:
                 raise AlgebraMismatch("carrier coefficients must be exact")
-            if not coeff.is_zero():
-                clean[mono] = coeff
-        self.terms = clean
+        self._fill(terms, nvars, algebra)
+
+    def _fill(self, terms: Mapping[Monomial, WeilElement], nvars: int, algebra: WeilAlgebra):
+        self.nvars = nvars
+        self.algebra = algebra
+        self._settle(terms)
 
     def _shape(self) -> tuple:
         return (self.nvars, self.algebra)
@@ -106,9 +107,8 @@ class WeilPoly(RingCoords):
         return " + ".join(chunks)
 
     def scale_element(self, element: WeilElement) -> "WeilPoly":
-        return WeilPoly(
-            self.nvars, self.algebra, {m: c.mul(element) for m, c in self.terms.items()}
-        )
+        # each coefficient's mul checks the element's algebra and mode
+        return self._new({m: c.mul(element) for m, c in self.terms.items()})
 
     def pow_int(self, exponent: int) -> "WeilPoly":
         if exponent < 0:
@@ -236,13 +236,12 @@ class CarrierSpace:
         n = self.domain.base_arity
         algebra = self.domain.weil
         zero = wpoly_zero(n, algebra)
+        units = [algebra.basis_element(b) for b in algebra.basis]
         for slot in range(self.coords):
             for mono in self.monomials():
-                for basis_mono in algebra.basis:
+                for unit in units:
                     data = [zero] * self.coords
-                    data[slot] = WeilPoly(
-                        n, algebra, {mono: algebra.basis_element(basis_mono)}
-                    )
+                    data[slot] = WeilPoly._build({mono: unit}, n, algebra)
                     yield CarrierPoint(self.space, self.domain, tuple(data))
 
 
@@ -419,6 +418,8 @@ class CurriedValue(RingCoords):
     is a real check, not a restatement."""
 
     __slots__ = ("inner_nvars", "inner_algebra", "outer_nvars", "outer_algebra")
+    # slot keys are (inner base monomial, inner Weil basis monomial) pairs
+    _sort_key = staticmethod(lambda key: (key[0].key(), key[1].key()))
 
     def __init__(
         self,
@@ -428,21 +429,19 @@ class CurriedValue(RingCoords):
         outer_algebra: WeilAlgebra,
         slots: Mapping[Tuple[Monomial, Monomial], WeilPoly],
     ):
-        self.inner_nvars = inner_nvars
-        self.inner_algebra = inner_algebra
-        self.outer_nvars = outer_nvars
-        self.outer_algebra = outer_algebra
-        clean: Dict[Tuple[Monomial, Monomial], WeilPoly] = {}
-        for key in sorted(slots, key=lambda k: (k[0].key(), k[1].key())):
-            wp = slots[key]
-            mu, nu = key
+        for (mu, nu), wp in slots.items():
             if len(mu) != inner_nvars or nu not in inner_algebra.basis_index:
                 raise AlgebraMismatch("slot key outside the inner carrier")
             if wp.nvars != outer_nvars or wp.algebra != outer_algebra:
                 raise AlgebraMismatch("slot value outside the outer carrier")
-            if not wp.is_zero():
-                clean[key] = wp
-        self.terms = clean
+        self._fill(slots, inner_nvars, inner_algebra, outer_nvars, outer_algebra)
+
+    def _fill(self, slots, inner_nvars, inner_algebra, outer_nvars, outer_algebra):
+        self.inner_nvars = inner_nvars
+        self.inner_algebra = inner_algebra
+        self.outer_nvars = outer_nvars
+        self.outer_algebra = outer_algebra
+        self._settle(slots)
 
     @property
     def slots(self) -> Dict[Tuple[Monomial, Monomial], WeilPoly]:
@@ -492,6 +491,8 @@ class CurryIso:
             Domain(self.outer_nvars, self.outer_algebra),
         )
 
+    # both directions build from a value already checked against its side,
+    # so the regrouped slots and results skip the constructors' checks
     def forward(self, wp: WeilPoly) -> CurriedValue:
         dom = self.coproduct
         if wp.nvars != dom.base_arity or wp.algebra != dom.weil:
@@ -499,11 +500,13 @@ class CurryIso:
         n, inner, outer = self.inner_nvars, self.inner_algebra, self.outer_algebra
         slots: Dict[Tuple[Monomial, Monomial], Dict[Monomial, WeilElement]] = {}
         for mono, coeff in wp.terms.items():
-            mu, kappa = Monomial(mono[:n]), Monomial(mono[n:])
+            mu, kappa = _monomial(mono[:n]), _monomial(mono[n:])
             for i, part in tensor_split(dom.weil, inner, outer, coeff).items():
                 slots.setdefault((mu, inner.basis[i]), {})[kappa] = part
-        built = {key: WeilPoly(self.outer_nvars, outer, polys) for key, polys in slots.items()}
-        return CurriedValue(self.inner_nvars, inner, self.outer_nvars, outer, built)
+        built = {
+            key: WeilPoly._build(polys, self.outer_nvars, outer) for key, polys in slots.items()
+        }
+        return CurriedValue._build(built, self.inner_nvars, inner, self.outer_nvars, outer)
 
     def backward(self, value: CurriedValue) -> WeilPoly:
         dom = self.coproduct
@@ -511,15 +514,15 @@ class CurryIso:
         parts: Dict[Monomial, Dict[int, WeilElement]] = {}
         for (mu, nu), wp in value.terms.items():
             for kappa, element in wp.terms.items():
-                mono = Monomial(mu + kappa)
+                mono = _monomial(mu + kappa)
                 parts.setdefault(mono, {})[inner.basis_index[nu]] = element
-        return WeilPoly(
-            dom.base_arity,
-            dom.weil,
+        return WeilPoly._build(
             {
                 mono: tensor_join(dom.weil, inner, outer, by_slot, RATIONAL)
                 for mono, by_slot in parts.items()
             },
+            dom.base_arity,
+            dom.weil,
         )
 
 
@@ -545,10 +548,11 @@ def curry_iso(
     dom = iso.coproduct
 
     cspace = carrier_space(Euclidean(coords), dom, degree)
+    units = [dom.weil.basis_element(b) for b in dom.weil.basis]
     basis_vectors = [
-        WeilPoly(dom.base_arity, dom.weil, {mono: dom.weil.basis_element(b)})
+        WeilPoly._build({mono: unit}, dom.base_arity, dom.weil)
         for mono in block_monomials(dom.blocks, degree)
-        for b in dom.weil.basis
+        for unit in units
     ]
     # the carrier dimension formula counts exactly these vectors per slot
     report.record_case(
@@ -575,22 +579,19 @@ def curry_iso(
         )
 
     # the opposite direction: every curried basis slot pulls back and returns
+    outer_units = [outer_algebra.basis_element(xi) for xi in outer_algebra.basis]
     curried_basis = [
-        CurriedValue(
+        CurriedValue._build(
+            {(mu, nu): WeilPoly._build({kappa: unit}, outer_nvars, outer_algebra)},
             inner_nvars,
             inner_algebra,
             outer_nvars,
             outer_algebra,
-            {
-                (mu, nu): WeilPoly(
-                    outer_nvars, outer_algebra, {kappa: outer_algebra.basis_element(xi)}
-                )
-            },
         )
         for mu in monomials_up_to_degree(inner_nvars, degree)
         for nu in inner_algebra.basis
         for kappa in monomials_up_to_degree(outer_nvars, degree)
-        for xi in outer_algebra.basis
+        for unit in outer_units
     ]
     report.record_case(
         len(curried_basis) == len(basis_vectors),

@@ -698,19 +698,20 @@ class NestedElement(RingCoords):
         coords: Dict[Monomial, WeilElement],
         mode: str,
     ):
-        self.outer = outer
-        self.scalars = scalars
-        self.terms = {
-            m: c
-            for m, c in sorted(coords.items(), key=lambda kv: kv[0].key())
-            if not c.is_zero()
-        }
-        self.mode = mode
-        for m, c in self.terms.items():
+        for m, c in coords.items():
+            if c.is_zero():
+                continue
             if m not in outer.basis_index:
                 raise AlgebraMismatch("coordinate monomial outside the quotient basis")
             if c.algebra != scalars or c.mode != mode:
                 raise AlgebraMismatch("nested coordinate in the wrong algebra or mode")
+        self._fill(coords, outer, scalars, mode)
+
+    def _fill(self, coords, outer: WeilAlgebra, scalars: WeilAlgebra, mode: str):
+        self.outer = outer
+        self.scalars = scalars
+        self.mode = mode
+        self._settle(coords)
 
     def _shape(self) -> tuple:
         return (self.outer, self.scalars)
@@ -719,7 +720,7 @@ class NestedElement(RingCoords):
         return self.outer.basis_product(m1, m2)
 
     def _new(self, terms: dict) -> "NestedElement":
-        return NestedElement(self.outer, self.scalars, terms, self.mode)
+        return self._build(terms, self.outer, self.scalars, self.mode)
 
     # nilpotency bound of the underlying double prolongation
     @property
@@ -815,7 +816,7 @@ class AssociativityIso:
         basis = self.w1.basis
         parts = tensor_split(self.tensor_algebra, self.w1, self.w2, element)
         coords = {basis[i]: part for i, part in parts.items()}
-        return NestedElement(self.w1, self.w2, coords, element.mode)
+        return NestedElement._build(coords, self.w1, self.w2, element.mode)
 
 
 def assoc_iso(

@@ -75,7 +75,7 @@ class Monomial(tuple):
     def mul(self, other: "Monomial") -> "Monomial":
         if len(self) != len(other):
             raise ValueError("monomial arity mismatch")
-        return Monomial(map(add, self, other))
+        return _monomial(map(add, self, other))
 
     def format(self, names: Sequence[str]) -> str:
         parts = []
@@ -85,6 +85,12 @@ class Monomial(tuple):
             elif e > 1:
                 parts.append(f"{name}^{e}")
         return "*".join(parts) if parts else "1"
+
+
+def _monomial(exponents: Iterable[int]) -> Monomial:
+    """A monomial from exponents known to be nonnegative, such as a
+    slice of one or the sum of two, without the check ``Monomial`` makes."""
+    return tuple.__new__(Monomial, exponents)
 
 
 def unit_monomial(nvars: int) -> Monomial:

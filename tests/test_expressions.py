@@ -434,3 +434,47 @@ class TestDeepExpressions:
         text = format_map(deep)
         assert text == " + ".join(["t0"] * self.TERMS)
         assert format_map(parse_smooth_map(text)) == text
+
+
+class TestNodeProtocols:
+    """Nodes compare, hash and print without recursing, and print the
+    text the dataclass repr gave."""
+
+    @staticmethod
+    def deep_sum(last="t"):
+        return parse1("+".join(["t"] * 4999 + [last]))
+
+    def test_deep_sum_compares_hashes_and_prints(self):
+        e, again, other = self.deep_sum(), self.deep_sum(), self.deep_sum("y")
+        assert e is not again and e == again and hash(e) == hash(again)
+        assert e != other and not (e == other)
+        text = repr(e)
+        assert text.startswith("Add(left=" * 4999 + "Var(index=0), right=Var(index=0))")
+        assert text.count("Var(index=0)") == 5000
+        assert repr(parse_smooth_map("+".join(["t"] * 5000))) == f"SmoothMap(arity=1, outputs=({text},))"
+
+    def test_repr_is_the_dataclass_text(self):
+        f = parse_smooth_map("sin(t)^2 - 1/2*x, -exp(y)/3", arity=2)
+        assert repr(f) == (
+            "SmoothMap(arity=2, outputs=(Sub(left=Pow(base=Call(fn='sin', arg=Var(index=0)), "
+            "exponent=2), right=Mul(left=Div(left=Const(value=Fraction(1, 1)), "
+            "right=Const(value=Fraction(2, 1))), right=Var(index=0))), "
+            "Div(left=Neg(arg=Call(fn='exp', arg=Var(index=1))), "
+            "right=Const(value=Fraction(3, 1)))))"
+        )
+
+    def test_equality_is_structural(self):
+        assert Add(Var(0), Const(Fraction(1))) == Add(Var(0), Const(Fraction(1)))
+        assert Add(Var(0), Var(1)) != Sub(Var(0), Var(1))
+        assert Pow(Var(0), 2) != Pow(Var(0), 3)
+        assert Call("sin", Var(0)) != Call("cos", Var(0))
+        assert Var(0) != 0 and Const(Fraction(1)) == Const(1)
+        assert hash(Const(Fraction(1))) == hash(Const(1))
+        assert len({Neg(Var(0)), Neg(Var(0)), Neg(Var(1))}) == 2
+
+    def test_shared_subtrees_compare_once(self):
+        a, b = Var(0), Var(0)
+        for _ in range(200):  # 2^200 paths, 200 distinct nodes
+            a, b = Mul(a, a), Mul(b, b)
+        assert a == b and hash(a) == hash(b)
+        assert a != Mul(a.left, Var(1))

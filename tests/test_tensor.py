@@ -34,8 +34,15 @@ from weilkit.algebras import (
     tensor_pair,
 )
 from weilkit.errors import AlgebraMismatch, WeilkitError
-from weilkit.funcalg import CurriedValue, CurryIso, WeilPoly, block_monomials
-from weilkit.lifting import AssociativityIso, NestedElement
+from weilkit.funcalg import (
+    CurriedValue,
+    CurryIso,
+    Domain,
+    WeilPoly,
+    block_monomials,
+    random_weil_poly,
+)
+from weilkit.lifting import AssociativityIso, NestedElement, random_nested
 from weilkit.polynomials import Monomial, monomials_up_to_degree
 from weilkit.samplers import random_weil_algebra
 
@@ -289,6 +296,38 @@ def same_nested(x, y):
         same_element(x.terms[k], y.terms[k])
 
 
+def rebuilt(value):
+    """The value again through its public constructor, which checks,
+    from its terms in reverse order, which it must sort."""
+    terms = dict(reversed(value.terms.items()))
+    if isinstance(value, WeilPoly):
+        return WeilPoly(value.nvars, value.algebra, terms)
+    if isinstance(value, CurriedValue):
+        return CurriedValue(
+            value.inner_nvars,
+            value.inner_algebra,
+            value.outer_nvars,
+            value.outer_algebra,
+            {key: rebuilt(wp) for key, wp in terms.items()},
+        )
+    return NestedElement(value.outer, value.scalars, terms, value.mode)
+
+
+def same_as_rebuilt(value):
+    """A value the kernel built without the constructor's checks is the
+    one the constructor gives: equal, with the same hash, key order and
+    printed text."""
+    again = rebuilt(value)
+    assert value == again and hash(value) == hash(again)
+    assert list(value.terms) == list(again.terms)
+    if isinstance(value, CurriedValue):
+        for key, wp in value.terms.items():
+            assert wp.format() == again.terms[key].format()
+            assert list(wp.terms) == list(again.terms[key].terms)
+    else:
+        assert value.format() == again.format()
+
+
 REINDEX_PAIRS = [
     SPREAD,
     (JET[2], JET[3]),
@@ -328,6 +367,8 @@ def test_associativity_iso_matches_the_monomial_loops(mode):
             element = random_vector(rng, iso.tensor_algebra, mode)
             same_nested(iso.backward(element), old_assoc_backward(iso, element))
             same_nested(iso.backward(flat), old_assoc_backward(iso, flat))
+            same_as_rebuilt(iso.backward(element))
+            same_as_rebuilt(iso.backward(flat))
 
 
 CURRY_CASES = [(1, w1, 1, w2) for w1, w2 in REINDEX_PAIRS[:16]] + [
@@ -355,6 +396,8 @@ def test_curry_iso_matches_the_monomial_loops(case):
         expected = old_curry_forward(iso, wp)
         assert curried == expected and hash(curried) == hash(expected)
         assert iso.backward(curried) == old_curry_backward(iso, curried) == wp
+        same_as_rebuilt(curried)
+        same_as_rebuilt(iso.backward(curried))
         value = CurriedValue(
             inner_nvars,
             inner,
@@ -379,3 +422,32 @@ def test_curry_iso_matches_the_monomial_loops(case):
         assert back == expected_back and hash(back) == hash(expected_back)
         for mono, coeff in back.terms.items():
             same_element(coeff, expected_back.terms[mono])
+        same_as_rebuilt(back)
+
+
+SKEW_CURRY = CurryIso(1, SPREAD[0], 1, JET[2])
+RING_SAMPLERS = {
+    WeilPoly: lambda rng: random_weil_poly(rng, Domain(2, SPREAD[0]), 2),
+    CurriedValue: lambda rng: SKEW_CURRY.forward(random_weil_poly(rng, SKEW_CURRY.coproduct, 1)),
+    NestedElement: lambda rng: random_nested(rng, SPREAD[0], JET[2], RATIONAL),
+}
+
+
+@pytest.mark.parametrize("cls", list(RING_SAMPLERS), ids=lambda cls: cls.__name__)
+def test_ring_operation_results_match_the_public_constructor(cls):
+    rng = random.Random(34)
+    for _ in range(8):
+        a, b = RING_SAMPLERS[cls](rng), RING_SAMPLERS[cls](rng)
+        assert type(a) is cls
+        results = [
+            a.add(b),
+            a.sub(b),
+            a.sub(a),  # every coefficient cancels
+            a.neg(),
+            a.scale(Fraction(-5, 3)),
+            a.scale(0),
+            a.mul(b),
+        ]
+        for result in results:
+            same_as_rebuilt(result)
+        assert results[2].is_zero() and results[5].is_zero()
