@@ -30,16 +30,23 @@ VAR_ALIASES: Dict[str, int] = {"t": 0, "x": 0, "y": 1}
 
 
 class Expr:
-    """An expression node.  ``==``, ``hash`` and ``repr`` walk the tree
-    with an explicit stack, so a deep tree compares, hashes and prints
-    as a shallow one does; the repr is the dataclass repr's text."""
+    """An expression node.  ``==``, ``hash`` and ``repr`` are folds of
+    the tree, whose stack is explicit, so a deep tree compares, hashes
+    and prints as a shallow one does; the repr is the dataclass repr's
+    text."""
 
     __slots__ = ()
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return _same_tree(self, other)
+        ids: Dict[tuple, int] = {}  # node key -> its id, over both trees
+
+        def intern(e: Expr, *kids: int) -> int:
+            return ids.setdefault(_KEY[type(e)](e, *kids), len(ids))
+
+        rules = dict.fromkeys(_CHILDREN, intern)
+        return fold_expr(self, rules) == fold_expr(other, rules)
 
     def __hash__(self) -> int:
         return fold_expr(self, _HASH)
@@ -651,39 +658,18 @@ def format_expr(e: Expr) -> str:
 # node equality, hash and repr
 
 
-def _same_tree(a: Expr, b: Expr) -> bool:
-    """Whether two nodes have equal fields all the way down, as the
-    dataclass ``==`` decides; a pair of nodes met again (a shared
-    subtree) is compared once."""
-    stack = [(a, b)]
-    seen = set()
-    while stack:
-        x, y = stack.pop()
-        if x is y:
-            continue
-        if type(x) is not type(y):
-            return False
-        pair = (id(x), id(y))
-        if pair in seen:
-            continue
-        seen.add(pair)
-        for name in _FIELDS[type(x)]:
-            u, v = getattr(x, name), getattr(y, name)
-            if isinstance(u, Expr):
-                stack.append((u, v))
-            elif not (u is v or u == v):
-                return False
-    return True
-
-
-_HASH: Dict[type, Callable] = {
-    Const: lambda e: hash((Const, e.value)),
-    Var: lambda e: hash((Var, e.index)),
-    **{op: lambda e, l, r: hash((type(e), l, r)) for op in (Add, Sub, Mul, Div)},
-    Neg: lambda e, a: hash((Neg, a)),
-    Pow: lambda e, b: hash((Pow, b, e.exponent)),
-    Call: lambda e, a: hash((Call, e.fn, a)),
+# node type -> the node's key: its type, its data fields and its
+# children's values.  With each child's value its id in one interning
+# dict, two nodes are equal exactly when their keys are.
+_KEY: Dict[type, Callable] = {
+    Const: lambda e: (Const, e.value),
+    Var: lambda e: (Var, e.index),
+    **{op: lambda e, l, r: (type(e), l, r) for op in (Add, Sub, Mul, Div)},
+    Neg: lambda e, a: (Neg, a),
+    Pow: lambda e, b: (Pow, b, e.exponent),
+    Call: lambda e, a: (Call, e.fn, a),
 }
+_HASH = dict.fromkeys(_CHILDREN, lambda e, *kids: hash(_KEY[type(e)](e, *kids)))
 
 
 def _repr_pieces(e: Expr, *kids):

@@ -23,7 +23,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, isqrt
+from math import isqrt
 from operator import mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -58,6 +58,7 @@ from .expressions import (
     SmoothMap,
     Sub,
     Var,
+    _FLOAT_FNS,
     _SCALAR,
     fold_expr,
     format_map,
@@ -69,7 +70,19 @@ from .reports import SuiteReport, scalar_str
 from .samplers import random_element, random_point
 
 # ---------------------------------------------------------------------------
-# Taylor coefficients of the primitives
+# Taylor series of the primitives
+#
+# Every Taylor coefficient of a primitive comes from one recurrence, in
+# exact numbers or in floats.  A power series truncated at degree d is
+# the list u of its coefficients, and fn(u) follows from one O(d^2)
+# recurrence (Griewank & Walther, Evaluating Derivatives, 2nd ed., ch. 13).
+# The coefficients of fn at a point a are those of fn(a + t), the series
+# of u = [a, 1], and Horner's rule sums them over an algebra with more
+# than one variable.  A one-variable algebra is R[t]/(t^d): its ideal
+# contains t^order, so it is generated by the lowest power of t it
+# contains, the basis is 1, t, ..., t^(d-1), and a real element is itself
+# such a list u, which the recurrence takes directly where Horner spends
+# d general products.
 
 
 def _rational_sqrt(a: Fraction) -> Optional[Fraction]:
@@ -78,8 +91,22 @@ def _rational_sqrt(a: Fraction) -> Optional[Fraction]:
     return Fraction(rp, rq) if rp * rp == p and rq * rq == q else None
 
 
-# derivatives of orders 0-3 at 0; they repeat with period 4
-_DERIVATIVES_AT_ZERO = {"exp": (1, 1, 1, 1), "sin": (0, 1, 0, -1), "cos": (1, 0, -1, 0)}
+def _exact_value(fn: str, a: Fraction) -> Fraction:
+    """fn(a) at the points where every Taylor coefficient is rational."""
+    if fn in ("exp", "sin", "cos"):
+        if a != 0:
+            raise ScalarModeError(
+                f"{fn} has irrational Taylor coefficients at nonzero rational points"
+            )
+        return Fraction(0 if fn == "sin" else 1)
+    if fn == "log":
+        if a != 1:
+            raise ScalarModeError("log has an irrational value at rational points other than 1")
+        return Fraction(0)
+    root = _rational_sqrt(a)
+    if root is None:
+        raise ScalarModeError("sqrt is irrational at this point; use real mode")
+    return root
 
 
 def taylor_coefficients(fn: str, a0: Scalar, count: int, mode: str) -> List[Scalar]:
@@ -94,42 +121,20 @@ def taylor_coefficients(fn: str, a0: Scalar, count: int, mode: str) -> List[Scal
     In real mode, a point that is not a finite float, or whose
     coefficients are not all finite floats, is a DomainError too.
     """
+    if fn not in _FLOAT_FNS:
+        raise ValueError(f"unknown primitive {fn!r}")
     if fn in ("log", "sqrt") and a0 <= 0:
         raise DomainError(f"{fn} undefined or not smooth at {scalar_str(a0)}")
     if mode == RATIONAL:
         a = Fraction(a0)
-        if fn in _DERIVATIVES_AT_ZERO:
-            if a != 0:
-                raise ScalarModeError(
-                    f"{fn} has irrational Taylor coefficients at nonzero rational points"
-                )
-            cycle = _DERIVATIVES_AT_ZERO[fn]
-            return [Fraction(cycle[j % 4], factorial(j)) for j in range(count)]
-        if fn == "log":
-            if a != 1:
-                raise ScalarModeError(
-                    "log has an irrational value at rational points other than 1"
-                )
-            return [Fraction(0)] + [
-                Fraction((-1) ** (j + 1), j) for j in range(1, count)
-            ]
-        if fn == "sqrt":
-            root = _rational_sqrt(a)
-            if root is None:
-                raise ScalarModeError(
-                    "sqrt is irrational at this point; use real mode"
-                )
-            coeffs = [root]
-            for j in range(count - 1):
-                coeffs.append(coeffs[-1] * (Fraction(1, 2) - j) / ((j + 1) * a))
-            return coeffs
-        raise ValueError(f"unknown primitive {fn!r}")
-
+        if count == 1:
+            return [_exact_value(fn, a)]
+        return _primitive_series(fn, [a, Fraction(1)], count, mode)
     try:
         a = float(a0)
         if not math.isfinite(a):
             raise OverflowError(f"{a} is not a finite point")
-        coeffs = _real_coefficients(fn, a, count)
+        coeffs = [_FLOAT_FNS[fn](a)] if count == 1 else _primitive_series(fn, [a, 1.0], count, mode)
         if not all(map(math.isfinite, coeffs)):
             raise OverflowError("a coefficient is not finite")
     except ArithmeticError as exc:
@@ -139,51 +144,21 @@ def taylor_coefficients(fn: str, a0: Scalar, count: int, mode: str) -> List[Scal
     return coeffs
 
 
-def _real_coefficients(fn: str, a: float, count: int) -> List[float]:
-    if fn == "exp":
-        e = math.exp(a)
-        return [e / factorial(j) for j in range(count)]
-    if fn == "sin":
-        cycle = (math.sin(a), math.cos(a), -math.sin(a), -math.cos(a))
-        return [cycle[j % 4] / factorial(j) for j in range(count)]
-    if fn == "cos":
-        cycle = (math.cos(a), -math.sin(a), -math.cos(a), math.sin(a))
-        return [cycle[j % 4] / factorial(j) for j in range(count)]
-    if fn == "log":
-        return [math.log(a)] + [
-            (-1.0) ** (j + 1) / (j * a ** j) for j in range(1, count)
-        ]
-    if fn == "sqrt":
-        coeffs = [math.sqrt(a)]
-        for j in range(count - 1):
-            coeffs.append(coeffs[-1] * (0.5 - j) / ((j + 1) * a))
-        return coeffs
-    raise ValueError(f"unknown primitive {fn!r}")
-
-
-# ---------------------------------------------------------------------------
-# Taylor-series recurrences over one-variable algebras
-#
-# A one-variable algebra is R[t]/(t^d): its ideal contains t^order, so it
-# is generated by the lowest power of t it contains, and the basis is
-# 1, t, ..., t^(d-1).  A real element is then the coefficient list u of a
-# power series truncated at degree d, and each primitive of it follows
-# from one O(d^2) recurrence (Griewank & Walther, Evaluating Derivatives,
-# 2nd ed., ch. 13) where Horner spends d general products.
-
-
-def _primitive_series(fn: str, u: List[float]) -> List[float]:
-    """Coefficients of fn(u) for a truncated power series u; the first
-    one comes from ``taylor_coefficients``, which also rejects points
-    outside the domain or float range."""
-    y0 = taylor_coefficients(fn, u[0], 1, REAL)[0]
-    y, d = [y0], len(u)
+def _primitive_series(fn: str, u: List[Scalar], d: int, mode: str) -> List[Scalar]:
+    """The first d coefficients of fn(u) for a power series u of exact
+    numbers or of floats, whose coefficients from len(u) on are zero;
+    the caller has checked fn at u[0].  The sums skip the products with
+    those zeros, which leave a sum as it is: a float sum starts at 0.0."""
+    value = _exact_value if mode == RATIONAL else lambda fn, a: _FLOAT_FNS[fn](a)
+    y0 = value(fn, u[0])
+    y, n, zero = [y0], len(u), u[0] - u[0]  # an exact 0 / j stays exact
     du = [i * c for i, c in enumerate(u)]  # t * u'
     if fn == "exp":
         for j in range(1, d):
             y.append(sum(map(mul, du[1 : j + 1], y[::-1])) / j)
     elif fn in ("sin", "cos"):
-        s, c = [math.sin(u[0])], [math.cos(u[0])]
+        other = value("cos" if fn == "sin" else "sin", u[0])
+        s, c = ([y0], [other]) if fn == "sin" else ([other], [y0])
         for j in range(1, d):
             window = du[1 : j + 1]
             s_j = sum(map(mul, window, c[::-1])) / j
@@ -191,15 +166,15 @@ def _primitive_series(fn: str, u: List[float]) -> List[float]:
             s.append(s_j)
         y = s if fn == "sin" else c
     elif fn == "log":
-        dy = [0.0]  # t * y'
+        dy = []  # t * y' from degree 1
         for j in range(1, d):
-            y.append((u[j] - sum(map(mul, dy[1:], u[j - 1 : 0 : -1])) / j) / u[0])
+            window = map(mul, dy[max(0, j - n) :], u[j - 1 : 0 : -1])  # dy_k u_(j-k)
+            y.append(((u[j] if j < n else zero) - sum(window, zero) / j) / u[0])
             dy.append(j * y[j])
-    elif fn == "sqrt":
+    else:  # sqrt
         for j in range(1, d):
-            y.append((u[j] - sum(map(mul, y[1:], y[j - 1 : 0 : -1]))) / (2 * y0))
-    else:
-        raise ValueError(f"unknown primitive {fn!r}")
+            square = sum(map(mul, y[1:], y[j - 1 : 0 : -1]))
+            y.append(((u[j] if j < n else zero) - square) / (2 * y0))
     return y
 
 
@@ -371,7 +346,8 @@ def lift_expr(e: Expr, args: Sequence, ctx: LiftContext):
                 return taylor_coefficients(e.fn, value + 0.0, ctx.order, REAL)[0]
             return taylor_coefficients(e.fn, value, 1, mode)[0]
         if series:
-            return _real(value.algebra, _primitive_series(e.fn, value._v))
+            taylor_coefficients(e.fn, value._v[0], 1, REAL)  # the point's checks
+            return _real(value.algebra, _primitive_series(e.fn, value._v, len(value._v), REAL))
         a0 = value.augmentation()
         coeffs = taylor_coefficients(e.fn, a0, ctx.order, ctx.mode)
         nil = value.sub(const(a0))

@@ -16,7 +16,14 @@ from math import factorial
 import pytest
 from expr_corpus import CORPUS
 
-from weilkit.algebras import REAL, WeilPresentation, jet_algebra, mk_weil_algebra, tensor
+from weilkit.algebras import (
+    REAL,
+    WeilPresentation,
+    jet_algebra,
+    mk_weil_algebra,
+    preset_algebra,
+    tensor,
+)
 from weilkit.cli import main
 from weilkit.expressions import (
     Add,
@@ -153,6 +160,21 @@ BIVARIATE = [
 ]
 
 
+def bivariate_error(w, text, p, q) -> float:
+    """The relative error of the real lift at (p + x, q + y) over a
+    two-variable algebra whose basis is monomials x^i y^j, with the
+    mixed partials divided by i! j! as the reference."""
+    f, ref_f = parse_smooth_map(text, arity=2), mp_function(text, 2)
+    point = (w.const(p, REAL).add(w.var_element(0, REAL)),
+             w.const(q, REAL).add(w.var_element(1, REAL)))
+    (value,) = taylor_lift(f, w, point)
+    ref = [
+        mpmath.diff(ref_f, (_mp(p), _mp(q)), m) / (factorial(m[0]) * factorial(m[1]))
+        for m in w.basis
+    ]
+    return relative_error(coefficients(value, w), ref)
+
+
 def test_mixed_partials_over_jet_tensors_are_within_the_bound():
     """Over tensor(jet_a, jet_b) the coefficient of x^i y^j is the mixed
     partial d^(i+j) f / dx^i dy^j divided by i! j!."""
@@ -160,16 +182,38 @@ def test_mixed_partials_over_jet_tensors_are_within_the_bound():
     for a, b in ((1, 3), (2, 2), (3, 2), (4, 4)):
         w = tensor(jet_algebra(a), jet_algebra(b))
         for text, (p, q) in BIVARIATE:
-            f, ref_f = parse_smooth_map(text, arity=2), mp_function(text, 2)
-            point = (w.const(p, REAL).add(w.var_element(0, REAL)),
-                     w.const(q, REAL).add(w.var_element(1, REAL)))
-            (value,) = taylor_lift(f, w, point)
-            ref = [
-                mpmath.diff(ref_f, (_mp(p), _mp(q)), m) / (factorial(m[0]) * factorial(m[1]))
-                for m in w.basis
-            ]
-            err = relative_error(coefficients(value, w), ref)
+            err = bivariate_error(w, text, p, q)
             assert err <= BOUND, (text, (p, q), (a, b), err)
+            lifts += 1
+    assert lifts == 24
+
+
+# one map per primitive, and log at 10^26, where a^j overflows a float
+# though no coefficient does
+PRIMITIVE_MAPS = [
+    ("exp(x - 2*y)", (0.3, -0.4)),
+    ("sin(x*y + x)", (0.7, 1.1)),
+    ("cos(x + y^2)", (-0.5, 0.9)),
+    ("log(x + y^2)", (1.3, 0.6)),
+    ("log(x) + y", (1e26, 0.0)),
+    ("sqrt(x^2 + y + 1)", (0.8, 1.5)),
+]
+
+
+def test_primitives_over_multivariable_algebras_are_within_the_bound():
+    """Over more than one variable each primitive's series comes from
+    the recurrences at its argument's augmentation, summed by Horner's
+    rule."""
+    lifts = 0
+    for w in (
+        preset_algebra("d2"),
+        tensor(jet_algebra(1), jet_algebra(1)),
+        tensor(jet_algebra(2), jet_algebra(5)),
+        tensor(jet_algebra(6), jet_algebra(6)),
+    ):
+        for text, (p, q) in PRIMITIVE_MAPS:
+            err = bivariate_error(w, text, p, q)
+            assert err <= BOUND, (text, (p, q), w.dimension, err)
             lifts += 1
     assert lifts == 24
 

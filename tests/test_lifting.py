@@ -89,6 +89,20 @@ def frac_coeffs(element, *exponent_tuples):
     return [element.coords.get(Monomial(e), F(0)) for e in exponent_tuples]
 
 
+def closed_form_coefficients(fn, at, count):
+    """The Taylor coefficients of fn at a point where they are rational,
+    from their closed forms."""
+    if fn == "sqrt":  # c_(j+1) = c_j (1/2 - j) / ((j + 1) a)
+        coeffs = [F(math.isqrt(at.numerator), math.isqrt(at.denominator))]
+        for j in range(count - 1):
+            coeffs.append(coeffs[-1] * (F(1, 2) - j) / ((j + 1) * at))
+        return coeffs
+    if fn == "log":
+        return [F(0)] + [F((-1) ** (j + 1), j) for j in range(1, count)]
+    cycle = {"exp": (1, 1, 1, 1), "sin": (0, 1, 0, -1), "cos": (1, 0, -1, 0)}[fn]
+    return [F(cycle[j % 4], math.factorial(j)) for j in range(count)]
+
+
 class TestTaylorCoefficients:
     def test_exp_series(self):
         assert taylor_coefficients("exp", F(0), 5, RATIONAL) == [
@@ -140,10 +154,37 @@ class TestTaylorCoefficients:
             for a, b in zip(exact, approx):
                 assert abs(float(a) - b) < 1e-15
 
-    @pytest.mark.parametrize("fn, at", [("exp", 1000.0), ("log", 1e200), ("log", 1e-200)])
+    @pytest.mark.parametrize(
+        "fn, at",
+        [("exp", F(0)), ("sin", F(0)), ("cos", F(0)), ("log", F(1)), ("sqrt", F(9, 4)), ("sqrt", F(1, 49))],
+    )
+    def test_exact_coefficients_match_the_closed_forms(self, fn, at):
+        # jets reach 17 coefficients
+        want = closed_form_coefficients(fn, at, 17)
+        for count in range(1, 18):
+            got = taylor_coefficients(fn, at, count, RATIONAL)
+            assert got == want[:count], (fn, at, count)
+            assert all(type(c) is F for c in got), (fn, at, count)
+
+    @pytest.mark.parametrize("fn, at", [("exp", 1000.0), ("log", 1e-200)])
     def test_float_overflow_is_domain_error(self, fn, at):
         with pytest.raises(DomainError, match="out of float range"):
             taylor_coefficients(fn, at, 4, REAL)
+
+    def test_float_log_far_from_zero_is_finite(self):
+        # -1/(2a^2) rounds to -0.0 at 1e200; nothing overflows
+        coeffs = taylor_coefficients("log", 1e200, 4, REAL)
+        assert all(map(math.isfinite, coeffs))
+        assert coeffs[:2] == [math.log(1e200), 1e-200]
+        # over jet6 (x) jet6 the x^j coefficients are those of log(t) over jet_algebra(12)
+        at = 10**26
+        w = tensor(jet_algebra(6), jet_algebra(6))
+        (got,) = taylor_lift_at(parse_smooth_map("log(t0) + t1"), w, [F(at), F(0)], REAL)
+        (ref,) = taylor_lift_at(parse_smooth_map("log(t)"), jet_algebra(12), [F(at)], REAL)
+        ref = [ref.coords.get((j,), 0.0) for j in range(7)]
+        err = max(abs(got.coords.get((j, 0), 0.0) - r) for j, r in enumerate(ref))
+        assert err <= 1e-13 * max(map(abs, ref))
+        assert got.coords[(0, 1)] == 1.0
 
     @pytest.mark.parametrize("text", ["sin(t*t)", "log(t*t)"])
     def test_non_finite_float_point_is_domain_error(self, text, capsys):
