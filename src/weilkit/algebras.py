@@ -844,7 +844,14 @@ def real_line_algebra() -> WeilAlgebra:
 
 class WeilMorphism:
     """Algebra map represented by substitution data psibar: one target
-    polynomial per source variable."""
+    polynomial per source variable.
+
+    Construction checks that psibar sends the source ideal into the
+    target ideal.  The degree-``source.order`` witnesses of m_A^k are
+    substituted only when ``source.order < target.order``: every psibar
+    has zero constant term (else BasePointViolation), so its class lies
+    in m_B, a witness maps into m_B^(source.order), and m_B^(target.order)
+    is 0.  The presented relations are always substituted."""
 
     __slots__ = ("source", "target", "psibar", "_basis_images")
 
@@ -867,7 +874,8 @@ class WeilMorphism:
         # classes of psibar in the target gives the class of gen(psibar)
         images = [target.from_polynomial(p) for p in self.psibar]
         powers: dict = {}  # monomial values at the images, shared by both loops
-        for gen in source.ideal_generators():
+        gens = source.relations if source.order >= target.order else source.ideal_generators()
+        for gen in gens:
             if not substitute_poly(gen, images, target.const, powers=powers).is_zero():
                 raise IdealViolation(
                     f"generator {gen.format(source.names)} does not map into the target ideal"

@@ -199,8 +199,9 @@ class SmoothMap:
 
     arity: int
     outputs: Tuple[Expr, ...]
-    # whether an output calls a primitive: None until first asked
-    calls: Optional[bool] = field(default=None, compare=False, repr=False)
+    # whether an output calls a primitive: None until first asked; not a
+    # constructor field, so that dataclasses.replace starts it afresh
+    calls: Optional[bool] = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def coarity(self) -> int:
@@ -232,7 +233,13 @@ def compose_maps(outer: SmoothMap, inner: SmoothMap) -> SmoothMap:
         )
     rules = {**_REBUILD, Var: lambda e: inner.outputs[e.index]}
     outputs = tuple(fold_expr(o, rules) for o in outer.outputs)
-    return SmoothMap(inner.arity, outputs, outer.has_call or inner.has_call)
+    return _with_calls(SmoothMap(inner.arity, outputs), outer.has_call or inner.has_call)
+
+
+def _with_calls(f: SmoothMap, calls: bool) -> SmoothMap:
+    """f, with whether it calls a primitive already known."""
+    object.__setattr__(f, "calls", calls)
+    return f
 
 
 _REBUILD: Dict[type, Callable] = {
@@ -461,7 +468,7 @@ def parse_smooth_map(text: str, arity: int | None = None) -> SmoothMap:
         arity = used + 1
     elif used >= arity:
         raise ParseError(f"expression uses t{used} but arity is {arity}")
-    return SmoothMap(arity, tuple(outputs), calls)
+    return _with_calls(SmoothMap(arity, tuple(outputs)), calls)
 
 
 # ---------------------------------------------------------------------------

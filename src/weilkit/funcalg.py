@@ -293,7 +293,9 @@ class DomainMorphism:
     base variable and each Weil generator gets a carrier polynomial over
     the target, and the Weil images must annihilate every generator of
     the source's ideal (including the nilpotency witnesses) — checked
-    exactly at construction."""
+    exactly at construction.  Every generator is substituted: a carrier
+    polynomial's base-variable terms are not nilpotent, so no witness of
+    m^k can be skipped."""
 
     __slots__ = ("source", "target", "base_part", "weil_part")
 
@@ -344,7 +346,14 @@ class DomainMorphism:
 
     def apply(self, wp: WeilPoly) -> WeilPoly:
         """Push a carrier polynomial over the source forward: base
-        variables and Weil coordinates are replaced by their images."""
+        variables and Weil coordinates are replaced by their images.  The
+        result may be one of those images itself (for a lone variable),
+        which is safe because no ring operation changes its operands."""
+        return self._apply(wp, {})
+
+    def _apply(self, wp: WeilPoly, powers: dict) -> WeilPoly:
+        """``apply``, keeping monomial values at the images in ``powers``,
+        which calls on the same morphism may share."""
         if wp.nvars != self.source.base_arity or wp.algebra != self.source.weil:
             raise AlgebraMismatch("carrier entry does not live over the source")
         flat = Polynomial(
@@ -357,7 +366,7 @@ class DomainMorphism:
         )
         n, algebra = self.target.base_arity, self.target.weil
         const = lambda c: wpoly_const(n, algebra, c)
-        return substitute_poly(flat, self.base_part + self.weil_part, const)
+        return substitute_poly(flat, self.base_part + self.weil_part, const, powers=powers)
 
 
 def identity_domain_morphism(domain: Domain) -> DomainMorphism:
@@ -371,11 +380,12 @@ def compose_domain_morphisms(first: DomainMorphism, second: DomainMorphism) -> D
     """first then second (source of `second` must be `first`'s target)."""
     if first.target != second.source:
         raise AlgebraMismatch("morphisms do not compose")
+    powers: dict = {}
     return DomainMorphism(
         first.source,
         second.target,
-        [second.apply(p) for p in first.base_part],
-        [second.apply(p) for p in first.weil_part],
+        [second._apply(p, powers) for p in first.base_part],
+        [second._apply(p, powers) for p in first.weil_part],
     )
 
 
@@ -384,7 +394,8 @@ def induced_action(
 ) -> Callable[[CarrierPoint], CarrierPoint]:
     """The candidate functorial action on evaluated spaces.  Substitution
     can only grow base degrees, so the result is checked against the
-    bound and DegreeOverflow is raised rather than truncating."""
+    bound and DegreeOverflow is raised rather than truncating.  The
+    entries of one point share a table of monomial values at the images."""
     space_dims(space)
 
     def act(point: CarrierPoint) -> CarrierPoint:
@@ -392,9 +403,9 @@ def induced_action(
             raise AlgebraMismatch("carrier point does not live over the morphism source")
         if point.space != space:
             raise AlgebraMismatch("carrier point has the wrong space shape")
-        images = []
+        images, powers = [], {}
         for wp in point.data:
-            image = rho.apply(wp)
+            image = rho._apply(wp, powers)
             if image.base_degree() > degree:
                 raise DegreeOverflow(
                     f"substitution reaches degree {image.base_degree()}, bound is {degree}"
@@ -889,7 +900,7 @@ def probe_functoriality(
             report.extra["outcome"] = "counterexample"
         report.record_case(
             identity_ok and compose_ok,
-            {
+            lambda: {
                 "case": label,
                 "sample": i,
                 "kind": "composition-law",

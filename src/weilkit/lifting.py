@@ -638,7 +638,7 @@ def check_naturality(
         mismatch = same.index(False) if False in same else None
         report.record_case(
             mismatch is None,
-            {
+            lambda: {
                 "case": label,
                 "sample": i,
                 "component": mismatch,
@@ -830,7 +830,7 @@ def assoc_iso(
                 seen.add(image_monos[0][0])
             report.record_case(
                 ok,
-                {
+                lambda: {
                     "case": label,
                     "kind": "basis",
                     "left": m.format(w1.names),
@@ -861,7 +861,7 @@ def assoc_iso(
         for kind, ok in checks:
             report.record_case(
                 ok,
-                {
+                lambda: {
                     "case": label,
                     "kind": kind,
                     "sample": i,
@@ -883,7 +883,7 @@ def assoc_iso(
         ok = all(iso.forward(d) == s for d, s in zip(doubled, single))
         report.record_case(
             ok,
-            {
+            lambda: {
                 "case": label,
                 "kind": "lift-coherence",
                 "map_index": mi,
@@ -925,7 +925,7 @@ def check_product_preservation(
     ).data
     report.record_case(
         split_ok,
-        {"case": label, "kind": "class-splitting", "map": format_map(f)},
+        lambda: {"case": label, "kind": "class-splitting", "map": format_map(f)},
     )
 
     nontrivial_basis = [m for m in algebra.basis if m.degree >= 1]

@@ -314,20 +314,23 @@ def substitute_poly(
     and ``mul``, with ``const`` embedding rationals.  A monomial's value
     is its predecessor's, the last exponent lowered by one, times one
     argument; the dict ``powers`` keeps those values, so calls at the
-    same args may share it.  A coefficient of 1 multiplies nothing."""
+    same args may share it.  A coefficient of 1 multiplies nothing.  The
+    sum starts from the first term, so a one-term polynomial adds nothing
+    and may return a shared value (an argument or a ``powers`` entry);
+    only the zero polynomial builds ``const(0)``."""
     if len(args) != poly.nvars:
         raise AlgebraMismatch("wrong number of substitution arguments")
     if powers is None:
         powers = {}
-    acc = const(Fraction(0))
+    acc = None
     for mono, coeff in poly.sorted_terms():
         if any(mono):
             value = _monomial_value(mono, args, mul, powers)
             term = value if coeff == 1 else mul(const(coeff), value)
         else:
             term = const(coeff)
-        acc = acc.add(term)
-    return acc
+        acc = term if acc is None else acc.add(term)
+    return const(Fraction(0)) if acc is None else acc
 
 
 def _monomial_value(mono: Monomial, args: Sequence, mul, powers: dict):

@@ -2,10 +2,11 @@
 runner, and the CLI report writer.
 
 A witness is a plain dict of JSON-serializable values (strings, ints,
-bools); whoever records one is responsible for formatting elements and
-scalars into strings first.  The serialized report is canonical: sorted
-keys, two-space indent, trailing newline, `wall_ms` pinned to 0 so the
-same (config, seed, version) always produces byte-identical output.
+bools), or a zero-argument callable that returns one; whoever records
+one is responsible for formatting elements and scalars into strings
+first.  The serialized report is canonical: sorted keys, two-space
+indent, trailing newline, `wall_ms` pinned to 0 so the same (config,
+seed, version) always produces byte-identical output.
 Real timing, when wanted, goes to stderr instead.
 """
 
@@ -14,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Dict, List
+from typing import Any, Callable, Dict, List
 
 from .errors import DomainError
 
@@ -29,10 +30,18 @@ class SuiteReport:
     witnesses: List[Dict[str, Any]] = field(default_factory=list)
     extra: Dict[str, Any] = field(default_factory=dict)
 
-    def record_case(self, ok: bool, witness: Dict[str, Any] | None = None):
+    def record_case(
+        self, ok: bool, witness: Dict[str, Any] | Callable[[], Dict[str, Any]] | None = None
+    ):
+        """Count one case; a failing case keeps a copy of its witness.  A
+        callable witness runs only when the case fails, so a passing case
+        formats nothing.  Its body must neither draw from an rng nor
+        change state, since it may never run."""
         self.cases += 1
         if not ok:
             self.failures += 1
+            if callable(witness):
+                witness = witness()
             self.witnesses.append(dict(witness or {}))
 
     def merge(self, other: "SuiteReport"):

@@ -314,7 +314,7 @@ def _ring_laws_case(report, config, rng, label, index):
     }
     report.record_case(
         all(checks.values()),
-        {
+        lambda: {
             "case": label,
             "algebra": repr(algebra),
             "elements": [a.format(), b.format(), c.format()],
@@ -354,7 +354,7 @@ def _morphism_laws_case(report, config, rng, label, index):
     }
     report.record_case(
         all(checks.values()),
-        {
+        lambda: {
             "case": label,
             "morphism": repr(psi),
             "element": a.format(),
@@ -389,7 +389,7 @@ def _lifting_laws_case(report, config, rng, label, index):
     identity_ok = taylor_lift(identity_map(n1), algebra, point) == point
     report.record_case(
         compose_ok and identity_ok,
-        {
+        lambda: {
             "case": label,
             "algebra": repr(algebra),
             "inner": repr(f),
@@ -538,7 +538,7 @@ def _functor_actions_case(report, config, rng, label, index):
     joint = cross_action(shape, compose_morphism(psi, chi))(point)
     report.record_case(
         identity_ok and staged == joint,
-        {
+        lambda: {
             "case": label,
             "shape": repr(shape),
             "first": repr(psi),

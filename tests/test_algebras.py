@@ -49,9 +49,11 @@ from weilkit.errors import (
 from weilkit.expressions import parse_smooth_map
 from weilkit.polynomials import (
     Monomial,
+    Polynomial,
     from_monomial,
     is_variable_name,
     parse_polynomial,
+    substitute_poly,
     variable,
 )
 
@@ -699,6 +701,46 @@ def test_morphism_check_agrees_with_truncated_substitution(monkeypatch):
             )
             assert outcome.apply(source.basis_element(mono)) == expected
     assert accepted > 10 and rejected > 10
+
+
+def test_skipped_witnesses_map_to_zero():
+    # a morphism whose source order is at least its target's is checked on
+    # the presented relations alone; every witness of m^k it skips must
+    # still substitute to zero
+    checked = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        source = samplers.random_weil_algebra(rng)
+        target = samplers.random_weil_algebra(rng)
+        if source.order < target.order:
+            continue
+        psi = samplers.random_morphism(rng, source, target)
+        images = [target.from_polynomial(p) for p in psi.psibar]
+        for gen in source.ideal_generators():
+            assert substitute_poly(gen, images, target.const).is_zero()
+            checked += 1
+    assert checked > 300
+
+
+def test_witnesses_still_checked_below_the_target_order():
+    t = parse_polynomial("t", ("t",))
+    with pytest.raises(IdealViolation, match=r"generator t\^3 does not"):
+        mk_morphism(jet_algebra(2), jet_algebra(5), [t])
+    # with no relation to catch it, only the witness of m^3 can
+    with pytest.raises(IdealViolation, match=r"generator x\^3 does not"):
+        mk_morphism(algebra(("x",), (), 3), jet_algebra(5), [t])
+
+
+def test_relations_still_checked_at_or_above_the_target_order():
+    source = algebra(("x", "y"), ("x*y",), 4)
+    target = jet_algebra(2)
+    assert source.order >= target.order
+    t = parse_polynomial("t", ("t",))
+    with pytest.raises(IdealViolation, match=r"generator x\*y does not"):
+        mk_morphism(source, target, [t, t])
+    assert mk_morphism(source, target, [t, Polynomial(1)]).apply(
+        source.var_element(0)
+    ) == target.var_element(0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -373,6 +374,30 @@ class TestPolynomialExtraction:
     def test_primitives_are_not_polynomial(self):
         assert not is_polynomial_map(parse_smooth_map("sin(t)"))
         assert expr_polynomial(parse1("1/(1+t)"), 1) is None
+
+    def test_polynomials_come_back_as_a_fresh_list(self):
+        f = parse_smooth_map("(x^2 - y^3, x*y)", arity=2)
+        first = map_polynomials(f)
+        expected = list(first)
+        first.append("junk")
+        first[0] = None
+        assert map_polynomials(f) == expected
+        assert map_polynomials(f) is not map_polynomials(f)
+
+    @pytest.mark.parametrize("f", [parse_smooth_map("(t, sin(t))"), SmoothMap(2, ())])
+    def test_polynomial_answer_repeats(self, f):
+        first = map_polynomials(f)
+        assert first == (None if f.outputs else [])
+        assert map_polynomials(f) == first
+
+    def test_replace_starts_the_call_memo_afresh(self):
+        f = parse_smooth_map("sin(t)")
+        assert f.has_call and map_polynomials(f) is None
+        g = dataclasses.replace(f, outputs=(Var(0),))
+        assert g.calls is None and g.has_call is False
+        assert map_polynomials(g) == [variable(1, 0)]
+        h = dataclasses.replace(g, outputs=(Call("sin", Var(0)),))
+        assert h.has_call is True and map_polynomials(h) is None
 
     def test_negative_power_of_constant_folds(self):
         p = expr_polynomial(parse1("2^-3 * t"), 1)

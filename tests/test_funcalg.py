@@ -60,7 +60,7 @@ from weilkit.lifting import (
     Product,
     random_nested,
 )
-from weilkit.polynomials import Monomial, parse_polynomial
+from weilkit.polynomials import Monomial, Polynomial, parse_polynomial
 
 DUAL = preset_algebra("dual")
 JET2 = preset_algebra("jet2")
@@ -392,6 +392,56 @@ class TestDomainMorphisms:
         rho = random_domain_morphism(rng, Domain(1, DUAL), Domain(1, JET2))
         with pytest.raises(AlgebraMismatch):
             compose_domain_morphisms(rho, rho)
+
+    def test_shared_power_tables_change_no_result(self):
+        # induced_action shares one table of monomial values across a
+        # point's entries, and composition across the first morphism's
+        # images; each entry must be what a table-less substitution gives
+        rng = random.Random(13)
+        space = Euclidean(4)
+        for _ in range(6):
+            a, b, c = random_domain(rng), random_domain(rng), random_domain(rng)
+            rho = random_domain_morphism(rng, a, b)
+            sigma = random_domain_morphism(rng, b, c)
+            const = lambda c: wpoly_const(b.base_arity, b.weil, c)
+
+            def fresh(x):
+                flat = Polynomial(
+                    a.base_arity + a.weil.nvars,
+                    {
+                        Monomial(mono + nil): c
+                        for mono, coeff in x.terms.items()
+                        for nil, c in coeff.coords.items()
+                    },
+                )
+                return substitute_poly(flat, rho.base_part + rho.weil_part, const)
+
+            point = random_carrier_point(rng, space, a, 2)
+            expected = tuple(fresh(x) for x in point.data)
+            assert tuple(rho.apply(x) for x in point.data) == expected
+            assert tuple(rho.apply(x) for x in point.data) == expected
+            act = induced_action(space, rho, 20)
+            assert act(point).data == expected
+            assert act(point).data == expected
+            composite = compose_domain_morphisms(rho, sigma)
+            assert composite.base_part == tuple(sigma.apply(p) for p in rho.base_part)
+            assert composite.weil_part == tuple(sigma.apply(p) for p in rho.weil_part)
+
+    def test_an_image_handed_back_is_left_alone_by_ring_operations(self):
+        # apply of a lone base variable returns its image object itself
+        a, b = Domain(2, DUAL), Domain(1, JET2)
+        image = wpoly_from_base(parse_polynomial("x^2 + 3*x", ("x",)), JET2)
+        rho = DomainMorphism(a, b, [image, wpoly_base_var(1, JET2, 0)], [wpoly_zero(1, JET2)])
+        snapshot = (image.format(), dict(image.terms))
+        out = rho.apply(wpoly_base_var(2, DUAL, 0))
+        assert out is image
+        for result in (
+            out.add(out), out.sub(out), out.neg(), out.scale(Fraction(5)),
+            out.mul(out), out.scale_element(JET2.var_element(0)),
+        ):
+            assert result is not image
+        assert (image.format(), image.terms) == snapshot
+        assert rho.base_part[0] == wpoly_from_base(parse_polynomial("x^2 + 3*x", ("x",)), JET2)
 
     def test_sampled_morphisms_are_always_valid(self):
         rng = random.Random(101)
