@@ -40,7 +40,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
-from itertools import compress
+from itertools import chain
 from operator import add, mul
 from pathlib import Path
 from types import MappingProxyType
@@ -335,6 +335,18 @@ class WeilAlgebra:
         (basis monomial, rational coefficient) pairs in graded-lex
         order; empty when the product has degree at least the order."""
         return self._mul_table.get(tuple(map(add, m1, m2)), ())
+
+    def _basis_rule(self, real: bool):
+        """``basis_product`` as a ``RingCoords._key_rule``, read from the
+        element kernel's exact or real table."""
+        codes, _, exact_table, den, real_table = self._kernel
+        table = real_table if real else exact_table
+        basis, index = self.basis, self.basis_index
+
+        def product(m1: Monomial, m2: Monomial):
+            return [(basis[k], f) for k, f in table.get(codes[index[m1]] + codes[index[m2]], ())]
+
+        return product, 1 if real else den
 
     def ideal_generators(self) -> List[Polynomial]:
         """The presented relations together with the degree-k monomial
@@ -678,59 +690,78 @@ def geometric_inverse(x, one, order: int):
 
 
 class RingCoords:
-    """Sparse coordinates on a basis with coefficients in a second ring:
-    ``terms`` maps basis keys, in graded-lex order, to nonzero
-    coefficients, each of which has add, neg, scale, mul and is_zero.
+    """Sparse coordinates on a basis with coefficients in a Weil algebra
+    ``_ring``: ``_rows`` maps each key with a nonzero coefficient to its
+    coordinates by basis position of the ring, stored as ``WeilElement``
+    stores them, over one denominator ``_den`` in lowest terms for all
+    rows.  A stored row is never changed, so values and elements share
+    rows.  Rows are in no order; ``terms``, the {key: coefficient} view
+    built on first use, and a real product take keys in graded-lex order.
     The ring operations are written once here.  A subclass supplies
-    ``_shape()``, the data operands must share; ``_key_product(k1,
-    k2)``, the product of two basis keys as (key, rational factor)
-    pairs; ``_sort_key``, the graded-lex key of a basis key, if its keys
-    are not monomials; ``_fill(terms, *fields)``, which stores its
-    fields and the terms, unchecked; and a public ``__init__`` that
-    validates its arguments, then fills.
+    ``_shape()``, the data operands must share; ``_key_rule()``, the
+    product of two keys as (key, factor) pairs, each factor an integer
+    over the rule's denominator or a float in real mode; ``_sort_key`` if
+    its keys are not monomials; ``_fill(*fields)``; and an ``__init__``
+    that validates, then calls ``_from_elements``.  Ring operations,
+    regroupings and basis vectors use ``_build``, without the checks; both
+    store rows in the one form, so ``==``, ``hash`` and ``format`` cannot
+    tell the two apart."""
 
-    A value built from operands that are already valid -- every ring
-    operation's result, and the regroupings and basis vectors the
-    kernel enumerates -- comes from ``_build``, which fills without the
-    checks.  Both ways store the terms through ``_settle``, which alone
-    drops zero coefficients and sorts the keys, so ``==``, ``hash`` and
-    ``format`` cannot tell the two apart."""
-
-    __slots__ = ("terms",)
+    __slots__ = ("_ring", "_rows", "_den", "_view")
     # carrier polynomials and curried values are exact; a subclass that
     # carries either mode stores its own
     mode = RATIONAL
     _sort_key = staticmethod(Monomial.key)
 
     @classmethod
-    def _build(cls, terms: Mapping, *fields) -> "RingCoords":
-        """The value the public constructor builds from these terms and
-        shape fields (in ``_fill``'s order), for arguments already known
-        to be valid."""
+    def _build(cls, rows: dict, den: int, *fields) -> "RingCoords":
+        """Fill, then settle the rows: drop zero ones, check floats and
+        reduce exact ones by the gcd."""
         self = object.__new__(cls)
-        self._fill(terms, *fields)
+        self._fill(*fields)
+        if not all(map(any, rows.values())):
+            rows = {key: row for key, row in rows.items() if any(row)}
+        if self.mode == REAL:
+            if not all(map(math.isfinite, chain.from_iterable(rows.values()))):
+                raise DomainError("a real-mode coordinate is out of float range")
+        elif den != 1:
+            g = math.gcd(den, *chain.from_iterable(rows.values()))
+            if g != 1:
+                rows = {key: [n // g for n in row] for key, row in rows.items()}
+                den //= g
+        self._rows, self._den, self._view = rows, den, None
         return self
 
-    def _fill(self, terms: Mapping, *fields) -> None:
-        raise NotImplementedError
+    def _from_elements(self, elements: Mapping, *fields) -> None:
+        """Fill, then store the rows of the nonzero elements of {key:
+        element in this mode}, in lowest terms over the lcm of theirs."""
+        self._fill(*fields)
+        den = 1 if self.mode == REAL else math.lcm(*(e._den for e in elements.values()))
+        self._rows = {
+            key: e._v if e._den == den else [n * (den // e._den) for n in e._v]
+            for key, e in elements.items()
+            if any(e._v)
+        }
+        self._den, self._view = den, None
 
-    def _settle(self, terms: Mapping) -> None:
-        clean = {}
-        for key in sorted(terms, key=self._sort_key) if len(terms) > 1 else terms:
-            c = terms[key]
-            if not c.is_zero():
-                clean[key] = c
-        self.terms = clean
-
-    def _shape(self) -> tuple:
-        raise NotImplementedError
-
-    def _key_product(self, k1, k2):
-        raise NotImplementedError
-
-    def _new(self, terms: dict) -> "RingCoords":
+    def _new(self, rows: dict, den: int) -> "RingCoords":
         # a subclass whose fields are more than its shape overrides this
-        return self._build(terms, *self._shape())
+        return self._build(rows, den, *self._shape())
+
+    @property
+    def terms(self) -> Mapping:
+        if self._view is None:
+            self._view = MappingProxyType(self._coefficients())
+        return self._view
+
+    def _ordered(self) -> list:
+        return sorted(self._rows.items(), key=lambda item: self._sort_key(item[0]))
+
+    def _coefficients(self) -> dict:
+        ring, den = self._ring, self._den
+        if self.mode == REAL:
+            return {key: WeilElement(ring, row, REAL) for key, row in self._ordered()}
+        return {key: _exact(ring, row, den) for key, row in self._ordered()}
 
     def _match(self, other: "RingCoords") -> None:
         if type(other) is not type(self) or self._shape() != other._shape():
@@ -743,45 +774,76 @@ class RingCoords:
             type(other) is type(self)
             and self.mode == other.mode
             and self._shape() == other._shape()
-            and self.terms == other.terms
+            and self._den == other._den
+            and self._rows == other._rows
         )
 
     def __hash__(self) -> int:
-        return hash((self._shape(), self.mode, tuple(self.terms.items())))
+        rows = frozenset((key, tuple(row)) for key, row in self._rows.items())
+        return hash((self._shape(), self.mode, self._den, rows))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._rows
 
     def add(self, other: "RingCoords") -> "RingCoords":
         self._match(other)
-        acc = dict(self.terms)
-        for key, c in other.terms.items():
+        a, b, den = self._rows, other._rows, self._den
+        if den != other._den:  # exact values over different denominators
+            g = math.gcd(den, other._den)
+            fa, fb = other._den // g, den // g
+            a = {key: [n * fa for n in row] for key, row in a.items()}
+            b = {key: [n * fb for n in row] for key, row in b.items()}
+            den *= fa
+        acc = dict(a)
+        for key, row in b.items():
             cur = acc.get(key)
-            acc[key] = c if cur is None else cur.add(c)
-        return self._new(acc)
+            acc[key] = row if cur is None else list(map(add, cur, row))
+        return self._new(acc, den)
 
     def neg(self) -> "RingCoords":
-        return self._new({key: c.neg() for key, c in self.terms.items()})
+        return self._new({key: [-c for c in row] for key, row in self._rows.items()}, self._den)
 
     def sub(self, other: "RingCoords") -> "RingCoords":
         return self.add(other.neg())
 
     def scale(self, factor: Scalar) -> "RingCoords":
-        return self._new({key: c.scale(factor) for key, c in self.terms.items()})
+        f = WeilAlgebra._coerce(factor, self.mode)
+        p, q = (f, 1) if self.mode == REAL else (f.numerator, f.denominator)
+        rows = {key: [c * p for c in row] for key, row in self._rows.items()} if f else {}
+        return self._new(rows, self._den * q)
 
     def mul(self, other: "RingCoords") -> "RingCoords":
+        """Each pair of rows multiplies into a fresh row, by the loop of
+        ``WeilElement.mul``, and is added times each factor of the key
+        product, so a real product rounds as one element per key does."""
         self._match(other)
+        ring, real = self._ring, self.mode == REAL
+        codes, reach, exact_table, table_den, real_table = ring._kernel
+        table = real_table if real else exact_table
+        key_product, key_den = self._key_rule()
+        order = RingCoords._ordered if real else (lambda value: value._rows.items())
+        rhs = [(k2, [(j, codes[j], c) for j, c in enumerate(row) if c]) for k2, row in order(other)]
+        zero = [0.0 if real else 0] * ring.dimension
         acc: dict = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                prod = c1.mul(c2)
-                if prod.is_zero():
+        for k1, row in order(self):
+            lhs = [(codes[i], reach[i], c) for i, c in enumerate(row) if c]
+            for k2, right in rhs:
+                prod = zero.copy()
+                for code, bound, c1 in lhs:
+                    for j, cj, c2 in right:
+                        if j >= bound:
+                            break
+                        c = c1 * c2
+                        for k, f in table[code + cj]:
+                            prod[k] += c * f
+                if not any(prod):
                     continue
-                for key, f in self._key_product(k1, k2):
-                    term = prod if f == 1 else prod.scale(f)
+                for key, f in key_product(k1, k2):
+                    # a real factor may underflow to 0.0, which scales to +0.0
+                    term = prod if f == 1 else [c * f for c in prod] if f else [0.0] * len(prod)
                     cur = acc.get(key)
-                    acc[key] = term if cur is None else cur.add(term)
-        return self._new(acc)
+                    acc[key] = term if cur is None else list(map(add, cur, term))
+        return self._new(acc, 1 if real else self._den * other._den * table_den * key_den)
 
 
 def scalars_close(a: Scalar, b: Scalar) -> bool:
@@ -1035,53 +1097,6 @@ def _factor_positions(t: WeilAlgebra, w1: WeilAlgebra, w2: WeilAlgebra):
         at = {p: (i, j) for i, row in enumerate(positions) for j, p in enumerate(row)}
         found = t._splits[w1.nvars] = (positions, tuple(at[p] for p in range(t.dimension)))
     return found
-
-
-def tensor_join(
-    t: WeilAlgebra, w1: WeilAlgebra, w2: WeilAlgebra, parts: Mapping[int, WeilElement], mode: str
-) -> WeilElement:
-    """The element of t = w1 (x) w2 whose coordinate at the product of the
-    i-th basis monomial of w1 and the j-th of w2 is coordinate j of
-    ``parts[i]``, an element of w2 in ``mode``; a missing part is zero.
-    Coordinates move by position: floats unchanged, exact numerators
-    over the common denominator of the parts."""
-    positions = _factor_positions(t, w1, w2)[0]
-    if mode == REAL:
-        vec = [0.0] * t.dimension
-        for i, part in parts.items():
-            for p, c in zip(positions[i], part._v):
-                if c:
-                    vec[p] = c
-        return _real(t, vec)
-    den = math.lcm(*(part._den for part in parts.values()))
-    vec = [0] * t.dimension
-    for i, part in parts.items():
-        scale = den // part._den
-        for p, n in zip(positions[i], part._v):
-            if n:
-                vec[p] = n * scale
-    return _exact(t, vec, den)
-
-
-def tensor_split(
-    t: WeilAlgebra, w1: WeilAlgebra, w2: WeilAlgebra, element: WeilElement
-) -> Dict[int, WeilElement]:
-    """The inverse of ``tensor_join``: the nonzero parts of an element of
-    t = w1 (x) w2, by basis position of w1, each an element of w2.  Only
-    the element's nonzero coordinates are read; a basis vector has one."""
-    pairs = _factor_positions(t, w1, w2)[1]
-    v = element._v
-    real = element.mode == REAL
-    groups: Dict[int, list] = {}
-    for p in compress(range(len(v)), v):
-        i, j = pairs[p]
-        vec = groups.get(i)
-        if vec is None:
-            vec = groups[i] = [0.0 if real else 0] * w2.dimension
-        vec[j] = v[p]
-    if real:
-        return {i: _real(w2, vec) for i, vec in groups.items()}
-    return {i: _exact(w2, vec, element._den) for i, vec in groups.items()}
 
 
 def tensor_inclusions(

@@ -21,17 +21,16 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, Mapping, Optional, Sequence, Tuple
 
 from .algebras import (
     RATIONAL,
     RingCoords,
     WeilAlgebra,
     WeilElement,
+    _factor_positions,
     real_line_algebra,
     tensor,
-    tensor_join,
-    tensor_split,
 )
 from .errors import AlgebraMismatch, DegreeOverflow, IdealViolation
 from .expressions import SmoothMap, Var, map_polynomials
@@ -60,9 +59,9 @@ from .samplers import (
 
 class WeilPoly(RingCoords):
     """Polynomial in free base variables whose coefficients are
-    rational-mode elements of a fixed Weil algebra.  Base variables are
-    never truncated; the nilpotent reduction happens inside the
-    coefficients."""
+    rational-mode elements of a fixed Weil algebra, one row per base
+    monomial.  Base variables are never truncated; the nilpotent
+    reduction happens inside the coefficients."""
 
     __slots__ = ("nvars", "algebra")
 
@@ -74,24 +73,23 @@ class WeilPoly(RingCoords):
                 raise AlgebraMismatch("coefficient outside the coefficient algebra")
             if coeff.mode != RATIONAL:
                 raise AlgebraMismatch("carrier coefficients must be exact")
-        self._fill(terms, nvars, algebra)
+        self._from_elements(terms, nvars, algebra)
 
-    def _fill(self, terms: Mapping[Monomial, WeilElement], nvars: int, algebra: WeilAlgebra):
+    def _fill(self, nvars: int, algebra: WeilAlgebra):
         self.nvars = nvars
-        self.algebra = algebra
-        self._settle(terms)
+        self.algebra = self._ring = algebra
 
     def _shape(self) -> tuple:
         return (self.nvars, self.algebra)
 
-    def _key_product(self, m1: Monomial, m2: Monomial):
-        return ((m1.mul(m2), 1),)
+    def _key_rule(self):
+        return (lambda m1, m2: ((m1.mul(m2), 1),)), 1
 
     def __repr__(self) -> str:
         return f"<wpoly {self.format()}>"
 
     def base_degree(self) -> int:
-        return max((m.degree for m in self.terms), default=0)
+        return max((m.degree for m in self._rows), default=0)
 
     def format(self, names: Optional[Sequence[str]] = None) -> str:
         if not self.terms:
@@ -107,8 +105,8 @@ class WeilPoly(RingCoords):
         return " + ".join(chunks)
 
     def scale_element(self, element: WeilElement) -> "WeilPoly":
-        # each coefficient's mul checks the element's algebra and mode
-        return self._new({m: c.mul(element) for m, c in self.terms.items()})
+        # wpoly_element checks the element's mode, and mul its algebra
+        return self.mul(wpoly_element(self.nvars, element))
 
     def pow_int(self, exponent: int) -> "WeilPoly":
         if exponent < 0:
@@ -121,22 +119,30 @@ def wpoly_zero(nvars: int, algebra: WeilAlgebra) -> WeilPoly:
 
 
 def wpoly_const(nvars: int, algebra: WeilAlgebra, value: Fraction) -> WeilPoly:
-    return WeilPoly(nvars, algebra, {unit_monomial(nvars): algebra.const(value)})
+    value = WeilAlgebra._coerce(value, RATIONAL)
+    row = [value.numerator] + [0] * (algebra.dimension - 1)
+    return WeilPoly._build({unit_monomial(nvars): row}, value.denominator, nvars, algebra)
 
 
 def wpoly_element(nvars: int, element: WeilElement) -> WeilPoly:
-    return WeilPoly(nvars, element.algebra, {unit_monomial(nvars): element})
+    if element.mode != RATIONAL:
+        raise AlgebraMismatch("carrier coefficients must be exact")
+    return WeilPoly._build({unit_monomial(nvars): element._v}, element._den, nvars, element.algebra)
 
 
 def wpoly_base_var(nvars: int, algebra: WeilAlgebra, index: int) -> WeilPoly:
     exps = tuple(1 if i == index else 0 for i in range(nvars))
-    return WeilPoly(nvars, algebra, {Monomial(exps): algebra.one()})
+    return WeilPoly._build({Monomial(exps): [1] + [0] * (algebra.dimension - 1)}, 1, nvars, algebra)
 
 
 def wpoly_from_base(poly: Polynomial, algebra: WeilAlgebra) -> WeilPoly:
-    return WeilPoly(
-        poly.nvars, algebra, {m: algebra.const(c) for m, c in poly.terms.items()}
-    )
+    """Each coefficient times the unit, which is basis position 0."""
+    den = math.lcm(*(c.denominator for c in poly.terms.values()))
+    rows = {}
+    for mono, c in poly.terms.items():
+        rows[mono] = row = [0] * algebra.dimension
+        row[0] = c.numerator * (den // c.denominator)
+    return WeilPoly._build(rows, den, poly.nvars, algebra)
 
 
 # ---------------------------------------------------------------------------
@@ -183,12 +189,12 @@ def domain_coproduct(c1: Domain, c2: Domain) -> Domain:
     )
 
 
-def block_monomials(blocks: Tuple[int, ...], degree: int) -> Iterator[Monomial]:
+@functools.lru_cache(maxsize=64)
+def block_monomials(blocks: Tuple[int, ...], degree: int) -> Tuple[Monomial, ...]:
     """Monomials in sum(blocks) variables with degree <= `degree` inside
-    each block separately."""
+    each block separately; enumerated once per (blocks, degree)."""
     pools = [monomials_up_to_degree(b, degree) for b in blocks]
-    for combo in itertools.product(*pools):
-        yield Monomial(itertools.chain.from_iterable(combo))
+    return tuple(Monomial(itertools.chain.from_iterable(c)) for c in itertools.product(*pools))
 
 
 # ---------------------------------------------------------------------------
@@ -229,19 +235,17 @@ class CarrierSpace:
     def dimension(self) -> int:
         return self.coords * self.monomial_count * self.domain.weil.dimension
 
-    def monomials(self) -> List[Monomial]:
-        return list(block_monomials(self.domain.blocks, self.degree))
-
     def basis(self) -> Iterator["CarrierPoint"]:
         n = self.domain.base_arity
         algebra = self.domain.weil
         zero = wpoly_zero(n, algebra)
-        units = [algebra.basis_element(b) for b in algebra.basis]
+        units = [algebra.basis_element(b)._v for b in algebra.basis]
+        monomials = block_monomials(self.domain.blocks, self.degree)
         for slot in range(self.coords):
-            for mono in self.monomials():
+            for mono in monomials:
                 for unit in units:
                     data = [zero] * self.coords
-                    data[slot] = WeilPoly._build({mono: unit}, n, algebra)
+                    data[slot] = WeilPoly._build({mono: unit}, 1, n, algebra)
                     yield CarrierPoint(self.space, self.domain, tuple(data))
 
 
@@ -426,11 +430,13 @@ class CurriedValue(RingCoords):
     domain.  Ring operations are computed natively — inner monomials
     multiply as free monomials, inner Weil coordinates through the inner
     structure constants — precisely so agreement with the uncurried ring
-    is a real check, not a restatement."""
+    is a real check, not a restatement.  Rows are keyed by (mu, nu,
+    kappa): inner base monomial, inner basis monomial, outer base
+    monomial, and run over the outer basis; ``slots`` (or ``terms``) is
+    the view {(mu, nu): carrier polynomial of its kappa rows}."""
 
     __slots__ = ("inner_nvars", "inner_algebra", "outer_nvars", "outer_algebra")
-    # slot keys are (inner base monomial, inner Weil basis monomial) pairs
-    _sort_key = staticmethod(lambda key: (key[0].key(), key[1].key()))
+    _sort_key = staticmethod(lambda key: (key[0].key(), key[1].key(), key[2].key()))
 
     def __init__(
         self,
@@ -445,28 +451,40 @@ class CurriedValue(RingCoords):
                 raise AlgebraMismatch("slot key outside the inner carrier")
             if wp.nvars != outer_nvars or wp.algebra != outer_algebra:
                 raise AlgebraMismatch("slot value outside the outer carrier")
-        self._fill(slots, inner_nvars, inner_algebra, outer_nvars, outer_algebra)
+        coeffs = {(mu, nu, k): c for (mu, nu), wp in slots.items() for k, c in wp.terms.items()}
+        self._from_elements(coeffs, inner_nvars, inner_algebra, outer_nvars, outer_algebra)
 
-    def _fill(self, slots, inner_nvars, inner_algebra, outer_nvars, outer_algebra):
+    def _fill(self, inner_nvars, inner_algebra, outer_nvars, outer_algebra):
         self.inner_nvars = inner_nvars
         self.inner_algebra = inner_algebra
         self.outer_nvars = outer_nvars
-        self.outer_algebra = outer_algebra
-        self._settle(slots)
+        self.outer_algebra = self._ring = outer_algebra
 
     @property
-    def slots(self) -> Dict[Tuple[Monomial, Monomial], WeilPoly]:
+    def slots(self) -> Mapping[Tuple[Monomial, Monomial], WeilPoly]:
         return self.terms
+
+    def _coefficients(self) -> dict:
+        slots: Dict[Tuple[Monomial, Monomial], dict] = {}
+        for (mu, nu, kappa), row in self._ordered():  # slot by slot, in order
+            slots.setdefault((mu, nu), {})[kappa] = row
+        n, outer = self.outer_nvars, self.outer_algebra
+        return {key: WeilPoly._build(rows, self._den, n, outer) for key, rows in slots.items()}
 
     def _shape(self) -> tuple:
         return (self.inner_nvars, self.inner_algebra, self.outer_nvars, self.outer_algebra)
 
-    def _key_product(self, k1: Tuple[Monomial, Monomial], k2: Tuple[Monomial, Monomial]):
-        mu = k1[0].mul(k2[0])
-        return [((mu, nu), c) for nu, c in self.inner_algebra.basis_product(k1[1], k2[1])]
+    def _key_rule(self):
+        inner_product, den = self.inner_algebra._basis_rule(False)
+
+        def product(k1, k2):
+            mu, kappa = k1[0].mul(k2[0]), k1[2].mul(k2[2])
+            return [((mu, nu, kappa), f) for nu, f in inner_product(k1[1], k2[1])]
+
+        return product, den
 
     def __repr__(self) -> str:
-        return f"<curried {len(self.terms)} slots>"
+        return f"<curried {len(self.slots)} slots>"
 
 
 def curried_const(
@@ -476,10 +494,8 @@ def curried_const(
     outer_algebra: WeilAlgebra,
     value: Fraction,
 ) -> CurriedValue:
-    slots = {}
-    if value != 0:
-        key = (unit_monomial(inner_nvars), unit_monomial(inner_algebra.nvars))
-        slots[key] = wpoly_const(outer_nvars, outer_algebra, value)
+    key = (unit_monomial(inner_nvars), unit_monomial(inner_algebra.nvars))
+    slots = {key: wpoly_const(outer_nvars, outer_algebra, value)}  # a zero value has no rows
     return CurriedValue(inner_nvars, inner_algebra, outer_nvars, outer_algebra, slots)
 
 
@@ -502,39 +518,40 @@ class CurryIso:
             Domain(self.outer_nvars, self.outer_algebra),
         )
 
-    # both directions build from a value already checked against its side,
-    # so the regrouped slots and results skip the constructors' checks
+    # forward regroups rows by the tensor's pair table and backward by its
+    # position table, from a value already checked against its side
     def forward(self, wp: WeilPoly) -> CurriedValue:
         dom = self.coproduct
         if wp.nvars != dom.base_arity or wp.algebra != dom.weil:
             raise AlgebraMismatch("value does not live over the coproduct domain")
         n, inner, outer = self.inner_nvars, self.inner_algebra, self.outer_algebra
-        slots: Dict[Tuple[Monomial, Monomial], Dict[Monomial, WeilElement]] = {}
-        for mono, coeff in wp.terms.items():
+        pairs = _factor_positions(dom.weil, inner, outer)[1]
+        rows = {}
+        for mono, row in wp._rows.items():
             mu, kappa = _monomial(mono[:n]), _monomial(mono[n:])
-            for i, part in tensor_split(dom.weil, inner, outer, coeff).items():
-                slots.setdefault((mu, inner.basis[i]), {})[kappa] = part
-        built = {
-            key: WeilPoly._build(polys, self.outer_nvars, outer) for key, polys in slots.items()
-        }
-        return CurriedValue._build(built, self.inner_nvars, inner, self.outer_nvars, outer)
+            for p in itertools.compress(range(len(row)), row):
+                i, j = pairs[p]
+                key = (mu, inner.basis[i], kappa)
+                slot = rows.get(key)
+                if slot is None:
+                    slot = rows[key] = [0] * outer.dimension
+                slot[j] = row[p]
+        return CurriedValue._build(rows, wp._den, n, inner, self.outer_nvars, outer)
 
     def backward(self, value: CurriedValue) -> WeilPoly:
         dom = self.coproduct
-        inner, outer = self.inner_algebra, self.outer_algebra
-        parts: Dict[Monomial, Dict[int, WeilElement]] = {}
-        for (mu, nu), wp in value.terms.items():
-            for kappa, element in wp.terms.items():
-                mono = _monomial(mu + kappa)
-                parts.setdefault(mono, {})[inner.basis_index[nu]] = element
-        return WeilPoly._build(
-            {
-                mono: tensor_join(dom.weil, inner, outer, by_slot, RATIONAL)
-                for mono, by_slot in parts.items()
-            },
-            dom.base_arity,
-            dom.weil,
-        )
+        positions = _factor_positions(dom.weil, self.inner_algebra, self.outer_algebra)[0]
+        index = self.inner_algebra.basis_index
+        rows = {}
+        for (mu, nu, kappa), row in value._rows.items():
+            mono = _monomial(mu + kappa)
+            joined = rows.get(mono)
+            if joined is None:
+                joined = rows[mono] = [0] * dom.weil.dimension
+            for p, c in zip(positions[index[nu]], row):
+                if c:
+                    joined[p] = c
+        return WeilPoly._build(rows, value._den, dom.base_arity, dom.weil)
 
 
 def curry_iso(
@@ -559,9 +576,9 @@ def curry_iso(
     dom = iso.coproduct
 
     cspace = carrier_space(Euclidean(coords), dom, degree)
-    units = [dom.weil.basis_element(b) for b in dom.weil.basis]
+    units = [dom.weil.basis_element(b)._v for b in dom.weil.basis]
     basis_vectors = [
-        WeilPoly._build({mono: unit}, dom.base_arity, dom.weil)
+        WeilPoly._build({mono: unit}, 1, dom.base_arity, dom.weil)
         for mono in block_monomials(dom.blocks, degree)
         for unit in units
     ]
@@ -575,29 +592,26 @@ def curry_iso(
             "formula": cspace.dimension,
         },
     )
-    seen: Dict[Tuple[Monomial, Monomial], int] = {}
+    seen = set()
     for vi, vector in enumerate(basis_vectors):
         curried = iso.forward(vector)
-        ok = iso.backward(curried) == vector and len(curried.terms) == 1
+        # one row: one curried slot, holding one outer term
+        ok = iso.backward(curried) == vector and len(curried._rows) == 1
         if ok:
-            # injectivity ledger: each image must be a fresh curried slot
-            ((mu, nu), wp) = next(iter(curried.terms.items()))
-            wp_key = (mu, nu, tuple(wp.terms.items()))
-            ok = wp_key not in seen
-            seen[wp_key] = vi
+            # injectivity ledger: each image must be a fresh curried value
+            ((key, row),) = curried._rows.items()
+            image = (key, tuple(row), curried._den)
+            ok = image not in seen
+            seen.add(image)
         report.record_case(
             ok, {"case": label, "kind": "basis-round-trip", "vector": vi}
         )
 
     # the opposite direction: every curried basis slot pulls back and returns
-    outer_units = [outer_algebra.basis_element(xi) for xi in outer_algebra.basis]
+    outer_units = [outer_algebra.basis_element(xi)._v for xi in outer_algebra.basis]
     curried_basis = [
         CurriedValue._build(
-            {(mu, nu): WeilPoly._build({kappa: unit}, outer_nvars, outer_algebra)},
-            inner_nvars,
-            inner_algebra,
-            outer_nvars,
-            outer_algebra,
+            {(mu, nu, kappa): unit}, 1, inner_nvars, inner_algebra, outer_nvars, outer_algebra
         )
         for mu in monomials_up_to_degree(inner_nvars, degree)
         for nu in inner_algebra.basis
@@ -650,7 +664,7 @@ def random_weil_poly(
     degree: int,
     max_terms: int = 4,
 ) -> WeilPoly:
-    monos = list(block_monomials(domain.blocks, degree))
+    monos = block_monomials(domain.blocks, degree)
     count = rng.randint(1, min(max_terms, len(monos)))
     chosen = rng.sample(monos, count)
     return WeilPoly(
@@ -867,10 +881,10 @@ def probe_functoriality(
     rng: Optional[random.Random] = None,
     label: str = "",
 ) -> SuiteReport:
-    """Empirical probe of whether the induced action composes: identity
-    acts as identity on every basis vector, and for sampled composable
-    pairs (base images of degree 2) the action of the composite on a
-    degree-1 carrier point equals the composite of actions.
+    """Empirical probe of whether the induced action composes: for sampled
+    composable pairs (base images of degree 2), identity fixes one random
+    degree-1 carrier point (one point, no basis: ROADMAP item 6) and the
+    action of the composite on it equals the composite of actions.
     The outcome is labeled evidence, never proof; a failing sample is
     serialized verbatim as a counterexample."""
     rng = rng or random.Random(0)

@@ -23,6 +23,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import isqrt
 from operator import mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -35,15 +36,14 @@ from .algebras import (
     WeilAlgebra,
     WeilElement,
     WeilMorphism,
+    _factor_positions,
     _real,
     apply_morphism,
     elements_close,
     geometric_inverse,
     identity_morphism,
     tensor,
-    tensor_join,
     tensor_morphism,
-    tensor_split,
 )
 from .errors import AlgebraMismatch, DomainError, ScalarModeError
 from .expressions import (
@@ -663,7 +663,8 @@ class NestedElement(RingCoords):
     """An element of `outer` whose coordinates are elements of
     `scalars` — concretely a point of the double prolongation, kept in
     unflattened form so double lifts can be computed without going
-    through the tensor algebra they are later compared against."""
+    through the tensor algebra they are later compared against; one row
+    over the basis of `scalars` per basis monomial of `outer`."""
 
     __slots__ = ("outer", "scalars", "mode")
 
@@ -681,22 +682,21 @@ class NestedElement(RingCoords):
                 raise AlgebraMismatch("coordinate monomial outside the quotient basis")
             if c.algebra != scalars or c.mode != mode:
                 raise AlgebraMismatch("nested coordinate in the wrong algebra or mode")
-        self._fill(coords, outer, scalars, mode)
+        self._from_elements(coords, outer, scalars, mode)
 
-    def _fill(self, coords, outer: WeilAlgebra, scalars: WeilAlgebra, mode: str):
+    def _fill(self, outer: WeilAlgebra, scalars: WeilAlgebra, mode: str):
         self.outer = outer
-        self.scalars = scalars
+        self.scalars = self._ring = scalars
         self.mode = mode
-        self._settle(coords)
 
     def _shape(self) -> tuple:
         return (self.outer, self.scalars)
 
-    def _key_product(self, m1: Monomial, m2: Monomial):
-        return self.outer.basis_product(m1, m2)
+    def _key_rule(self):
+        return self.outer._basis_rule(self.mode == REAL)
 
-    def _new(self, terms: dict) -> "NestedElement":
-        return self._build(terms, self.outer, self.scalars, self.mode)
+    def _new(self, rows: dict, den: int) -> "NestedElement":
+        return self._build(rows, den, self.outer, self.scalars, self.mode)
 
     # nilpotency bound of the underlying double prolongation
     @property
@@ -732,10 +732,8 @@ class NestedElement(RingCoords):
 def nested_const(
     outer: WeilAlgebra, scalars: WeilAlgebra, value: Scalar, mode: str
 ) -> NestedElement:
-    coords = {}
-    if value != 0:
-        coords[unit_monomial(outer.nvars)] = scalars.const(value, mode)
-    return NestedElement(outer, scalars, coords, mode)
+    unit = unit_monomial(outer.nvars)
+    return NestedElement(outer, scalars, {unit: scalars.const(value, mode)}, mode)  # 0 keeps no row
 
 
 def nested_context(outer: WeilAlgebra, scalars: WeilAlgebra) -> LiftContext:
@@ -779,20 +777,34 @@ class AssociativityIso:
         if self.tensor_algebra != tensor(self.w1, self.w2):
             raise AlgebraMismatch("tensor_algebra is not the tensor product of w1 and w2")
 
+    # forward regroups rows by the tensor's position table and backward by
+    # its pair table; the denominator, in lowest terms on both sides, stays
     def forward(self, element: NestedElement) -> WeilElement:
         if element.outer != self.w1 or element.scalars != self.w2:
             raise AlgebraMismatch("nested element over the wrong algebra pair")
+        positions = _factor_positions(self.tensor_algebra, self.w1, self.w2)[0]
         index = self.w1.basis_index
-        parts = {index[m]: inner for m, inner in element.terms.items()}
-        return tensor_join(self.tensor_algebra, self.w1, self.w2, parts, element.mode)
+        vec = [0.0 if element.mode == REAL else 0] * self.tensor_algebra.dimension
+        for m, row in element._rows.items():
+            for p, c in zip(positions[index[m]], row):
+                if c:
+                    vec[p] = c
+        return WeilElement(self.tensor_algebra, vec, element.mode, element._den)
 
     def backward(self, element: WeilElement) -> NestedElement:
         if element.algebra != self.tensor_algebra:
             raise AlgebraMismatch("element does not live in the tensor algebra")
-        basis = self.w1.basis
-        parts = tensor_split(self.tensor_algebra, self.w1, self.w2, element)
-        coords = {basis[i]: part for i, part in parts.items()}
-        return NestedElement._build(coords, self.w1, self.w2, element.mode)
+        pairs = _factor_positions(self.tensor_algebra, self.w1, self.w2)[1]
+        basis, v = self.w1.basis, element._v
+        zero = 0.0 if element.mode == REAL else 0
+        rows: Dict[Monomial, list] = {}
+        for p in compress(range(len(v)), v):
+            i, j = pairs[p]
+            row = rows.get(basis[i])
+            if row is None:
+                row = rows[basis[i]] = [zero] * self.w2.dimension
+            row[j] = v[p]
+        return NestedElement._build(rows, element._den, self.w1, self.w2, element.mode)
 
 
 def assoc_iso(

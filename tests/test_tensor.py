@@ -1,10 +1,12 @@
 """Tensor products written down from the factors' normal forms.
 
-Three things are pinned here.  The direct build gives the same rows,
+Four things are pinned here.  The direct build gives the same rows,
 basis, normal-form table, kernel tables, signature and hash as
 echelonizing the tensor's presentation.  Moving coefficients by basis
 position gives what the monomial-keyed loops gave, bit for bit in real
-mode.  And the tensor helpers refuse a tensor of other factors.
+mode, and builds no element per key.  Ring operations on flat rows give
+what one coefficient object per key gave.  And the tensor helpers refuse
+a tensor of other factors.
 """
 
 import random
@@ -451,3 +453,146 @@ def test_ring_operation_results_match_the_public_constructor(cls):
         for result in results:
             same_as_rebuilt(result)
         assert results[2].is_zero() and results[5].is_zero()
+
+
+# ---------------------------------------------------------------------------
+# flat rows against one coefficient object per key
+
+
+def old_key_product(value, k1, k2):
+    if isinstance(value, WeilPoly):
+        return ((k1.mul(k2), 1),)
+    if isinstance(value, CurriedValue):
+        mu = k1[0].mul(k2[0])
+        return [((mu, nu), c) for nu, c in value.inner_algebra.basis_product(k1[1], k2[1])]
+    return value.outer.basis_product(k1, k2)
+
+
+def with_terms(like, terms):
+    """The value of ``like``'s type and shape with these terms, through
+    its public constructor."""
+    if isinstance(like, WeilPoly):
+        return WeilPoly(like.nvars, like.algebra, terms)
+    if isinstance(like, CurriedValue):
+        return CurriedValue(
+            like.inner_nvars, like.inner_algebra, like.outer_nvars, like.outer_algebra, terms
+        )
+    return NestedElement(like.outer, like.scalars, terms, like.mode)
+
+
+# the ring operations as they were written on one coefficient per key: an
+# element, or for a curried value the carrier polynomial of a slot, which
+# these same loops multiply
+def old_add(a, b):
+    acc = dict(a.terms)
+    for key, c in b.terms.items():
+        cur = acc.get(key)
+        acc[key] = c if cur is None else coeff_op("add", cur, c)
+    return with_terms(a, acc)
+
+
+def old_scale(a, factor):
+    return with_terms(a, {key: coeff_op("scale", c, factor) for key, c in a.terms.items()})
+
+
+def old_mul(a, b):
+    acc = {}
+    for k1, c1 in a.terms.items():
+        for k2, c2 in b.terms.items():
+            prod = coeff_op("mul", c1, c2)
+            if prod.is_zero():
+                continue
+            for key, f in old_key_product(a, k1, k2):
+                term = prod if f == 1 else coeff_op("scale", prod, f)
+                cur = acc.get(key)
+                acc[key] = term if cur is None else coeff_op("add", cur, term)
+    return with_terms(a, acc)
+
+
+def coeff_op(name, c, other):
+    if isinstance(c, WeilPoly):
+        return {"add": old_add, "scale": old_scale, "mul": old_mul}[name](c, other)
+    return getattr(c, name)(other)
+
+
+def same_flat(x, y):
+    """Equal, with the same hash and key order, and coefficient by
+    coefficient the same coordinates; float ones bit for bit."""
+    assert x == y and hash(x) == hash(y)
+    assert list(x.terms) == list(y.terms)
+    for key, c in x.terms.items():
+        if isinstance(c, WeilPoly):
+            same_flat(c, y.terms[key])
+        else:
+            same_element(c, y.terms[key])
+
+
+def flat_operands(rng):
+    """Pairs of values of each type: carrier polynomials over the
+    coproduct of each curry case, their curried images, and nested
+    elements in both modes over each reindexing pair."""
+    def sparse(keys, algebra, mode):
+        return {k: random_vector(rng, algebra, mode) for k in keys if rng.random() < 0.6}
+
+    for inner_nvars, inner, outer_nvars, outer in CURRY_CASES:
+        iso = CurryIso(inner_nvars, inner, outer_nvars, outer)
+        dom = iso.coproduct
+        monos = block_monomials(dom.blocks, 1)
+        for _ in range(2):
+            n, w = dom.base_arity, dom.weil
+            a, b = (WeilPoly(n, w, sparse(monos, w, RATIONAL)) for _ in "ab")
+            yield a, b
+            yield iso.forward(a), iso.forward(b)
+    for w1, w2 in REINDEX_PAIRS:
+        for mode in (RATIONAL, REAL):
+            yield tuple(NestedElement(w1, w2, sparse(w1.basis, w2, mode), mode) for _ in "ab")
+
+
+def test_flat_ring_operations_match_one_coefficient_per_key():
+    rng = random.Random(36)
+    kinds = set()
+    for a, b in flat_operands(rng):
+        kinds.add((type(a), a.mode))
+        same_flat(a.add(b), old_add(a, b))
+        same_flat(a.sub(a), old_add(a, old_scale(a, -1)))
+        same_flat(a.scale(Fraction(-5, 3)), old_scale(a, Fraction(-5, 3)))
+        same_flat(a.scale(0), old_scale(a, 0))
+        same_flat(a.mul(b), old_mul(a, b))
+    assert len(kinds) == 4
+
+
+@pytest.mark.parametrize("case", range(len(CURRY_CASES)))
+def test_regroupings_build_no_element_per_key(case, monkeypatch):
+    inner_nvars, inner, outer_nvars, outer = CURRY_CASES[case]
+    rng = random.Random(37 + case)
+    iso = CurryIso(inner_nvars, inner, outer_nvars, outer)
+    dom = iso.coproduct
+    assoc = AssociativityIso(inner, outer, tensor(inner, outer))
+    wp = WeilPoly(
+        dom.base_arity,
+        dom.weil,
+        {m: random_vector(rng, dom.weil, RATIONAL) for m in block_monomials(dom.blocks, 1)},
+    )
+    curried = iso.forward(wp)
+    nested = [
+        NestedElement(inner, outer, {m: random_vector(rng, outer, mode) for m in inner.basis}, mode)
+        for mode in (RATIONAL, REAL)
+    ]
+    flat = [assoc.forward(x) for x in nested]
+    built = []
+    init = algebras.WeilElement.__init__
+
+    def counted(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(algebras.WeilElement, "__init__", counted)
+    assert iso.backward(iso.forward(wp)) == wp
+    assert iso.forward(iso.backward(curried)) == curried
+    for x, y in zip(nested, flat):
+        assert assoc.backward(y) == x
+    assert built == []
+    # the tensor side is an element: forward builds that one and no other
+    for x, y in zip(nested, flat):
+        assert assoc.forward(x) == y and len(built) == 1
+        built.clear()
