@@ -60,6 +60,7 @@ from .polynomials import (
     Monomial,
     Polynomial,
     ReductionBasis,
+    _monomial_value,
     build_reduction_basis,
     embed_poly,
     format_terms,
@@ -913,7 +914,8 @@ class WeilMorphism:
     substituted only when ``source.order < target.order``: every psibar
     has zero constant term (else BasePointViolation), so its class lies
     in m_B, a witness maps into m_B^(source.order), and m_B^(target.order)
-    is 0.  The presented relations are always substituted."""
+    is 0.  The presented relations are always substituted.
+    ``tensor_morphism`` builds its morphisms from checked factors instead."""
 
     __slots__ = ("source", "target", "psibar", "_basis_images")
 
@@ -942,10 +944,9 @@ class WeilMorphism:
                 raise IdealViolation(
                     f"generator {gen.format(source.names)} does not map into the target ideal"
                 )
-        # the image of each source basis monomial, by basis position
-        self._basis_images = [
-            substitute_poly(from_monomial(mono), images, target.const, powers=powers)
-            for mono in source.basis
+        # each source basis monomial's image by basis position (1 is at 0)
+        self._basis_images = [target.one()] + [
+            _monomial_value(mono, images, WeilElement.mul, powers) for mono in source.basis[1:]
         ]
 
     def apply(self, element: WeilElement) -> WeilElement:
@@ -1127,7 +1128,11 @@ def tensor_pair(
     if a.mode != b.mode:
         raise ScalarModeError("mixed scalar modes in tensor_pair")
     t = _tensor_of(w1, w2, t)
-    positions = _factor_positions(t, w1, w2)[0]
+    return _pair(t, _factor_positions(t, w1, w2)[0], a, b)
+
+
+def _pair(t: WeilAlgebra, positions, a: WeilElement, b: WeilElement) -> WeilElement:
+    """``tensor_pair`` on checked operands, given t's factor positions."""
     vec = [0.0 if a.mode == REAL else 0] * t.dimension
     for row, c1 in zip(positions, a._v):
         if not c1:
@@ -1143,13 +1148,20 @@ def tensor_pair(
 def tensor_morphism(
     psi1: WeilMorphism, psi2: WeilMorphism, source: WeilAlgebra | None = None, target: WeilAlgebra | None = None
 ) -> WeilMorphism:
-    """psi1 (x) psi2 : tensor(src1, src2) -> tensor(tgt1, tgt2)."""
+    """psi1 (x) psi2 : tensor(src1, src2) -> tensor(tgt1, tgt2), a morphism
+    as its factors are, so nothing is checked or substituted: basis
+    position (i, j) maps to the tensor pair of their i-th and j-th images."""
     source = _tensor_of(psi1.source, psi2.source, source)
     target = _tensor_of(psi1.target, psi2.target, target)
-    total = target.nvars
-    psibar: List[Polynomial] = []
-    for p in psi1.psibar:
-        psibar.append(embed_poly(p, total, 0))
-    for p in psi2.psibar:
-        psibar.append(embed_poly(p, total, psi1.target.nvars))
-    return WeilMorphism(source, target, psibar)
+    total, offset = target.nvars, psi1.target.nvars
+    psibar = [embed_poly(p, total, 0) for p in psi1.psibar]
+    psibar += [embed_poly(p, total, offset) for p in psi2.psibar]
+    morphism = object.__new__(WeilMorphism)
+    morphism.source, morphism.target, morphism.psibar = source, target, tuple(psibar)
+    positions = _factor_positions(target, psi1.target, psi2.target)[0]
+    images1, images2 = psi1._basis_images, psi2._basis_images
+    morphism._basis_images = [
+        _pair(target, positions, images1[i], images2[j])
+        for i, j in _factor_positions(source, psi1.source, psi2.source)[1]
+    ]
+    return morphism

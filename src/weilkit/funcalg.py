@@ -39,6 +39,7 @@ from .polynomials import (
     Monomial,
     Polynomial,
     _monomial,
+    _monomial_value,
     monomials_up_to_degree,
     substitute_poly,
     times_power,
@@ -299,9 +300,12 @@ class DomainMorphism:
     the source's ideal (including the nilpotency witnesses) — checked
     exactly at construction.  Every generator is substituted: a carrier
     polynomial's base-variable terms are not nilpotent, so no witness of
-    m^k can be skipped."""
+    m^k can be skipped.  Being linear on Weil coordinates, a morphism
+    then keeps ``_table``: at each source basis position b, the image of
+    basis monomial b, read off the check's monomial values, as integer
+    rows over one denominator ``_table_den`` for the whole table."""
 
-    __slots__ = ("source", "target", "base_part", "weil_part")
+    __slots__ = ("source", "target", "base_part", "weil_part", "_table", "_table_den")
 
     def __init__(
         self,
@@ -330,6 +334,15 @@ class DomainMorphism:
                 raise IdealViolation(
                     f"images do not annihilate the relation {gen.format(source.weil.names)}"
                 )
+        images = [const(Fraction(1))] + [  # the unit monomial is basis position 0
+            _monomial_value(mono, self.weil_part, WeilPoly.mul, powers)
+            for mono in source.weil.basis[1:]
+        ]
+        self._table_den = den = math.lcm(*(image._den for image in images))
+        self._table = [
+            {key: [x * (den // image._den) for x in row] for key, row in image._rows.items()}
+            for image in images
+        ]
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -349,28 +362,33 @@ class DomainMorphism:
         return f"<domain morphism base=({bases}) weil=({weils})>"
 
     def apply(self, wp: WeilPoly) -> WeilPoly:
-        """Push a carrier polynomial over the source forward: base
-        variables and Weil coordinates are replaced by their images.  The
-        result may be one of those images itself (for a lone variable),
-        which is safe because no ring operation changes its operands."""
+        """Push a carrier polynomial over the source forward: a base
+        monomial's coefficient row r becomes sum_b r_b * table[b], an
+        integer row combination with no ring product, times the monomial's
+        value at the base images.  A unit coefficient multiplies nothing,
+        so a lone base variable returns its image itself, which is safe
+        because no ring operation changes its operands."""
         return self._apply(wp, {})
 
     def _apply(self, wp: WeilPoly, powers: dict) -> WeilPoly:
-        """``apply``, keeping monomial values at the images in ``powers``,
-        which calls on the same morphism may share."""
+        """``apply``, keeping base monomial values at the base images in
+        ``powers``, which calls on the same morphism may share."""
         if wp.nvars != self.source.base_arity or wp.algebra != self.source.weil:
             raise AlgebraMismatch("carrier entry does not live over the source")
-        flat = Polynomial(
-            wp.nvars + wp.algebra.nvars,
-            {
-                Monomial(mono + nil): c
-                for mono, coeff in wp.terms.items()
-                for nil, c in coeff.coords.items()
-            },
-        )
-        n, algebra = self.target.base_arity, self.target.weil
-        const = lambda c: wpoly_const(n, algebra, c)
-        return substitute_poly(flat, self.base_part + self.weil_part, const, powers=powers)
+        n, algebra, table = self.target.base_arity, self.target.weil, self._table
+        unit = [1] + [0] * (len(table) - 1) if wp._den == 1 else None
+        zero, acc = [0] * algebra.dimension, None
+        for mono, row in wp._rows.items():
+            value = _monomial_value(mono, self.base_part, WeilPoly.mul, powers)  # None at unit
+            if value is None or row != unit:
+                rows: dict = {}
+                for c, image in zip(row, table):
+                    for key, r in image.items() if c else ():
+                        rows[key] = [a + c * x for a, x in zip(rows.get(key, zero), r)]
+                term = WeilPoly._build(rows, self._table_den * wp._den, n, algebra)
+                value = term if value is None else value.mul(term)
+            acc = value if acc is None else acc.add(value)
+        return wpoly_zero(n, algebra) if acc is None else acc
 
 
 def identity_domain_morphism(domain: Domain) -> DomainMorphism:

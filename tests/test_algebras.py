@@ -152,10 +152,13 @@ def test_relations_from_list_or_generator():
     texts = ("x^2 - y^3",)
     as_list = WeilAlgebra(("x", "y"), [parse_polynomial(t, ("x", "y")) for t in texts], 4)
     as_gen = WeilAlgebra(("x", "y"), (parse_polynomial(t, ("x", "y")) for t in texts), 4)
+    # both share one built state; CUSP's may have been evicted from the
+    # intern table by another test module, so only its value is compared
+    assert as_list.basis is as_gen.basis
     for w in (as_list, as_gen):
         assert w == CUSP and repr(w) == repr(CUSP)
         assert w.relations == CUSP.relations
-        assert w.dimension == 7 and w.basis is CUSP.basis
+        assert w.dimension == 7 and w.basis == CUSP.basis
 
 
 def test_intern_table_is_bounded():

@@ -292,7 +292,43 @@ class TestPostcompose:
         assert out.data[0] == expected
 
 
+def old_domain_apply(rho, wp):
+    """``DomainMorphism.apply`` as it was before the basis-image table:
+    flatten the carrier polynomial into one polynomial over the base and
+    Weil variables, then substitute every term."""
+    flat = Polynomial(
+        wp.nvars + wp.algebra.nvars,
+        {
+            Monomial(mono + nil): c
+            for mono, coeff in wp.terms.items()
+            for nil, c in coeff.coords.items()
+        },
+    )
+    n, algebra = rho.target.base_arity, rho.target.weil
+    const = lambda c: wpoly_const(n, algebra, c)
+    return substitute_poly(flat, rho.base_part + rho.weil_part, const)
+
+
 class TestDomainMorphisms:
+    def test_apply_matches_flatten_and_substitute(self):
+        rng = random.Random(2022)
+        arities = set()
+        for _ in range(40):
+            a, b, c = random_domain(rng), random_domain(rng), random_domain(rng)
+            rho, sigma = random_domain_morphism(rng, a, b), random_domain_morphism(rng, b, c)
+            n, algebra = a.base_arity, a.weil
+            inputs = [random_weil_poly(rng, a, 2) for _ in range(6)] + [wpoly_zero(n, algebra)]
+            inputs += [wpoly_base_var(n, algebra, i) for i in range(n)]
+            inputs += [wpoly_element(n, algebra.var_element(j)) for j in range(algebra.nvars)]
+            for morphism in (rho, compose_domain_morphisms(rho, sigma)):
+                for carrier in inputs:
+                    out, expected = morphism.apply(carrier), old_domain_apply(morphism, carrier)
+                    assert out == expected and hash(out) == hash(expected)
+                    assert set(out._rows) == set(expected._rows)
+                    assert list(out.terms) == list(expected.terms)
+            arities.add(n)
+        assert arities == {0, 1, 2}
+
     def test_base_substitution_example(self):
         dom = Domain(1, RLINE)
         rho = DomainMorphism(dom, dom, [wp("t^2", RLINE)], [])

@@ -46,7 +46,7 @@ from weilkit.funcalg import (
 )
 from weilkit.lifting import AssociativityIso, NestedElement, random_nested
 from weilkit.polynomials import Monomial, monomials_up_to_degree
-from weilkit.samplers import random_weil_algebra
+from weilkit.samplers import random_morphism, random_weil_algebra
 
 JET = {k: jet_algebra(k) for k in range(1, 7)}
 LINE = real_line_algebra()
@@ -191,6 +191,24 @@ def test_helpers_accept_the_right_tensor():
     assert tensor_pair(JET[2], JET[3], a, b, t) == left.apply(a).mul(right.apply(b))
     psi = tensor_morphism(identity_morphism(JET[2]), identity_morphism(JET[3]), t, t)
     assert psi.acts_same(identity_morphism(t))
+
+
+def test_tensor_morphism_images_match_substituting_its_psibar():
+    # the images written down from the factors' basis images are the ones
+    # substituting the tensor's psibar gives, for sampled pairs and for
+    # the id_V (x) psi that cross_action builds under a prolongation by V
+    rng = random.Random(2022)
+    for _ in range(200):
+        s1, s2, t1, t2 = (
+            random_weil_algebra(rng, max_vars=2, max_order=3, max_dimension=6) for _ in range(4)
+        )
+        psi1, psi2 = random_morphism(rng, s1, t1), random_morphism(rng, s2, t2)
+        for factors in ((psi1, psi2), (identity_morphism(s1), psi2)):
+            built = tensor_morphism(*factors)
+            substituted = WeilMorphism(built.source, built.target, built.psibar)
+            assert built._basis_images == substituted._basis_images
+            assert built == substituted and hash(built) == hash(substituted)
+            assert repr(built) == repr(substituted)
 
 
 # ---------------------------------------------------------------------------
