@@ -40,7 +40,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
-from itertools import chain
+from itertools import accumulate, chain, repeat
 from operator import add, mul
 from pathlib import Path
 from types import MappingProxyType
@@ -623,10 +623,10 @@ class WeilElement:
 
     def inverse(self) -> "WeilElement":
         """Multiplicative inverse; the augmentation must be nonzero.  An
-        exact element of a one-variable algebra is inverted as a power
-        series, every other element by the geometric series."""
+        exact element of a one-variable algebra is inverted by the quotient
+        recurrence, every other element by the geometric series."""
         if self.mode == RATIONAL and self.algebra.nvars == 1:
-            return _series_inverse(self)
+            return _series_quotient([1], 1, self)
         return geometric_inverse(self, self.algebra.one(self.mode), self.algebra.order)
 
     def to_real(self) -> "WeilElement":
@@ -651,25 +651,29 @@ class WeilElement:
         return Polynomial(self.algebra.nvars, dict(self.coords))
 
 
-def _series_inverse(x: WeilElement) -> WeilElement:
-    """The inverse of an exact element of a one-variable algebra, whose
-    basis is 1, t, ..., t^(d-1): x = b/den for an integer series b, and
-    1/b has coefficients p_j / b_0^(j+1) with p_0 = 1 and p_j =
-    -sum_{i=1..j} b_i p_(j-i) b_0^(i-1), the O(d^2) quotient recurrence
-    (Griewank & Walther, Evaluating Derivatives, 2nd ed., ch. 13)."""
-    b, d = x._v, len(x._v)
-    if b[0] == 0:
+def _series_quotient(a: list, den: int, b: WeilElement) -> WeilElement:
+    """(a/den) / b for b in a one-variable algebra, whose basis is 1, t,
+    ..., t^(d-1), and a numerator series a of at most d terms: floats over
+    1 for a real b, integers for an exact one.  y = a / b has y_j = (a_j -
+    sum_i b_i y_(j-i)) / b_0 (Griewank & Walther, Evaluating Derivatives,
+    2nd ed., ch. 13); over an exact b = B/db it runs on integers, q_j =
+    y_j B_0^(j+1) = a_j B_0^j - sum_i B_i B_0^(i-1) q_(j-i)."""
+    v, d, n = b._v, len(b._v), len(a)
+    if v[0] == 0:
         raise DomainError("element with zero augmentation is not invertible")
-    powers = [1]  # b_0^i
-    for _ in range(d):
-        powers.append(powers[-1] * b[0])
-    terms = [(i, b[i] * powers[i - 1]) for i in range(1, d) if b[i]]
-    p = [1]
+    if b.mode == REAL:
+        y = []
+        for j in range(d):
+            y.append(((a[j] if j < n else 0.0) - sum(map(mul, v[1 : j + 1], y[::-1]))) / v[0])
+        return _real(b.algebra, y)
+    powers = list(accumulate(repeat(v[0], d), mul, initial=1))  # B_0^i
+    terms = [(i, v[i] * powers[i - 1]) for i in range(1, d) if v[i]]
+    y = [*map(mul, a, powers), *repeat(0, d - n)]  # a_j B_0^j, then q_j
     for j in range(1, d):
-        p.append(-sum(c * p[j - i] for i, c in terms if i <= j))
-    sign = 1 if powers[d] > 0 else -1
-    nums = [sign * x._den * p[j] * powers[d - 1 - j] for j in range(d)]
-    return _exact(x.algebra, nums, sign * powers[d])
+        y[j] -= sum([c * y[j - i] for i, c in terms if i <= j])
+    f = b._den if powers[d] > 0 else -b._den  # for a positive denominator
+    nums = [f * q * p for q, p in zip(y, powers[d - 1 :: -1])]
+    return _exact(b.algebra, nums, den * abs(powers[d]))
 
 
 def geometric_inverse(x, one, order: int):

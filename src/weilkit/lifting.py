@@ -38,6 +38,7 @@ from .algebras import (
     WeilMorphism,
     _factor_positions,
     _real,
+    _series_quotient,
     apply_morphism,
     elements_close,
     geometric_inverse,
@@ -77,12 +78,13 @@ from .samplers import random_element, random_point
 # the list u of its coefficients, and fn(u) follows from one O(d^2)
 # recurrence (Griewank & Walther, Evaluating Derivatives, 2nd ed., ch. 13).
 # The coefficients of fn at a point a are those of fn(a + t), the series
-# of u = [a, 1], and Horner's rule sums them over an algebra with more
-# than one variable.  A one-variable algebra is R[t]/(t^d): its ideal
-# contains t^order, so it is generated by the lowest power of t it
-# contains, the basis is 1, t, ..., t^(d-1), and a real element is itself
-# such a list u, which the recurrence takes directly where Horner spends
-# d general products.
+# of u = [a, 1], and Horner's rule sums them over an exact element and
+# over an algebra with more than one variable.  A one-variable algebra is
+# R[t]/(t^d): its ideal contains t^order, so it is generated by the
+# lowest power of t it contains, the basis is 1, t, ..., t^(d-1), and a
+# real element is itself such a list u, which the recurrence takes
+# directly where Horner spends d general products; so does the quotient
+# recurrence, algebras._series_quotient, with an element of either mode.
 
 
 def _rational_sqrt(a: Fraction) -> Optional[Fraction]:
@@ -123,6 +125,10 @@ def taylor_coefficients(fn: str, a0: Scalar, count: int, mode: str) -> List[Scal
     """
     if fn not in _FLOAT_FNS:
         raise ValueError(f"unknown primitive {fn!r}")
+    if count <= 0:
+        if count:
+            raise ValueError(f"negative coefficient count {count}")
+        return []
     if fn in ("log", "sqrt") and a0 <= 0:
         raise DomainError(f"{fn} undefined or not smooth at {scalar_str(a0)}")
     if mode == RATIONAL:
@@ -178,16 +184,6 @@ def _primitive_series(fn: str, u: List[Scalar], d: int, mode: str) -> List[Scala
     return y
 
 
-def _quotient_series(a: List[float], b: List[float]) -> List[float]:
-    """Coefficients of a / b for truncated power series, b_0 nonzero."""
-    if b[0] == 0:
-        raise DomainError("element with zero augmentation is not invertible")
-    y = []
-    for j in range(len(a)):
-        y.append((a[j] - sum(map(mul, b[1 : j + 1], y[::-1]))) / b[0])
-    return y
-
-
 # ---------------------------------------------------------------------------
 # the generic lift evaluator
 
@@ -196,7 +192,7 @@ def _quotient_series(a: List[float], b: List[float]) -> List[float]:
 class LiftContext:
     """What the evaluator needs beyond the elements themselves: a way to
     make constants, the nilpotency bound for series, the mode, and
-    whether elements are real power series in one variable."""
+    whether elements are power series in one variable."""
 
     const: Callable[[Scalar], object]
     order: int
@@ -209,8 +205,7 @@ def weil_context(algebra: WeilAlgebra, mode: str = RATIONAL) -> LiftContext:
     mode."""
     ctx = algebra._lift_contexts.get(mode)
     if ctx is None:
-        series = mode == REAL and algebra.nvars == 1
-        ctx = LiftContext(lambda c: algebra.const(c, mode), algebra.order, mode, series)
+        ctx = LiftContext(lambda c: algebra.const(c, mode), algebra.order, mode, algebra.nvars == 1)
         algebra._lift_contexts[mode] = ctx
     return ctx
 
@@ -280,6 +275,7 @@ def lift_expr(e: Expr, args: Sequence, ctx: LiftContext):
     and raising as the constant's element would, until it meets an
     element."""
     const, mode, series = ctx.const, ctx.mode, ctx.series
+    real_series = series and mode == REAL
     # id(x) -> [x, x^2, ...] for each base value of this lift; the list
     # holds x, so the id stays x's for as long as the fold's node memo
     powers: Dict[int, list] = {}
@@ -297,18 +293,19 @@ def lift_expr(e: Expr, args: Sequence, ctx: LiftContext):
 
     def quotient(e: Div, a, b):
         if type(b) in _NUMBERS:
-            if not series:
+            if not real_series:
                 b = _inverse(b)
                 return _times(a, b) if type(a) in _NUMBERS else _scaled(b, a)
+            if b == 0:  # each coordinate over b, as the quotient recurrence rounds it
+                raise DomainError("element with zero augmentation is not invertible")
             if type(a) in _NUMBERS:
-                q = _quotient_series([a], [b])[0]
-                return _number(q, (type(a) is _NegZeros) != (b < 0))
-            return _real(a.algebra, _quotient_series(a._v, [b]))
+                return _number(a / b, (type(a) is _NegZeros) != (b < 0))
+            return _real(a.algebra, [c / b for c in a._v])
         if not series:
             return _scaled(a, b.inverse()) if type(a) in _NUMBERS else a.mul(b.inverse())
         a = _lifted(a, const)
         a._match(b)
-        return _real(b.algebra, _quotient_series(a._v, b._v))
+        return _series_quotient(a._v, a._den, b)
 
     def power(e: Pow, base):
         """base^n, multiplied as times_power(1, base, n) does, with the
@@ -323,11 +320,8 @@ def lift_expr(e: Expr, args: Sequence, ctx: LiftContext):
             if mode == RATIONAL:
                 return base**n
             return times_power(1.0, base, n, _times)
-        if n < 0:
-            if series:  # by the quotient recurrence, as 1/base is
-                base = _real(base.algebra, _quotient_series(const(1.0)._v, base._v))
-            else:
-                base = base.inverse()
+        if n < 0:  # by the quotient recurrence over one variable, as 1/base is
+            base = _series_quotient([1.0], 1, base) if real_series else base.inverse()
             n = -n
         if n < 2:
             # 1·base has base's nonzero coordinates, but a zero one reads +0.0
@@ -339,13 +333,13 @@ def lift_expr(e: Expr, args: Sequence, ctx: LiftContext):
 
     def call(e: Call, value):
         if type(value) in _NUMBERS:
-            if series:  # the recurrences give cos -0.0 zeros, log and sqrt value's
+            if real_series:  # the recurrences give cos -0.0 zeros, log and sqrt value's
                 zeros = e.fn == "cos" or e.fn in ("log", "sqrt") and type(value) is _NegZeros
                 return _number(taylor_coefficients(e.fn, value, 1, REAL)[0], zeros)
             if mode == REAL:  # as augmentation() reads it; every coefficient must be finite
                 return taylor_coefficients(e.fn, value + 0.0, ctx.order, REAL)[0]
             return taylor_coefficients(e.fn, value, 1, mode)[0]
-        if series:
+        if real_series:
             taylor_coefficients(e.fn, value._v[0], 1, REAL)  # the point's checks
             return _real(value.algebra, _primitive_series(e.fn, value._v, len(value._v), REAL))
         a0 = value.augmentation()

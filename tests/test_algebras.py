@@ -8,6 +8,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -397,6 +398,71 @@ def test_series_inverse_keeps_the_zero_augmentation_message():
         for x in (w.zero(), w.var_element(0), top):
             with pytest.raises(DomainError, match=message):
                 x.inverse()
+
+
+def old_series_inverse(x):
+    """``algebras._series_inverse`` as it was before the quotient
+    recurrence took a numerator: the inverse of an exact element of a
+    one-variable algebra, on integers."""
+    b, d = x._v, len(x._v)
+    if b[0] == 0:
+        raise DomainError("element with zero augmentation is not invertible")
+    powers = [1]  # b_0^i
+    for _ in range(d):
+        powers.append(powers[-1] * b[0])
+    terms = [(i, b[i] * powers[i - 1]) for i in range(1, d) if b[i]]
+    p = [1]
+    for j in range(1, d):
+        p.append(-sum(c * p[j - i] for i, c in terms if i <= j))
+    sign = 1 if powers[d] > 0 else -1
+    nums = [sign * x._den * p[j] * powers[d - 1 - j] for j in range(d)]
+    return algebras._exact(x.algebra, nums, sign * powers[d])
+
+
+def old_quotient_series(a, b):
+    """``lifting._quotient_series`` as it was: the coefficients of a / b
+    for float lists of one length, b_0 nonzero."""
+    if b[0] == 0:
+        raise DomainError("element with zero augmentation is not invertible")
+    y = []
+    for j in range(len(a)):
+        y.append((a[j] - sum(map(mul, b[1 : j + 1], y[::-1]))) / b[0])
+    return y
+
+
+def test_series_quotient_matches_the_old_inverse_and_float_routines():
+    # exact a / b was a times the old inverse; a real one the old float
+    # routine on a numerator padded with 0.0 to b's length
+    rng = random.Random(23)
+    count = 0
+    for w, b in _one_variable_elements():
+        d = w.dimension
+        short = [rng.randint(-9, 9) for _ in range(rng.randint(1, d))]
+        short[0] = -rng.randint(1, 9)
+        full = [rng.randint(-9, 9) for _ in range(d)]
+        for nums in ([], [0] * d, short, full, [1]):
+            den = rng.choice((1, 3, 10**40 + 7))
+            got = algebras._series_quotient(nums, den, b)
+            a = w.element({w.basis[i]: Fraction(c, den) for i, c in enumerate(nums)})
+            expected = a.mul(old_series_inverse(b))
+            assert got == expected and hash(got) == hash(expected), (w, b, nums)
+            assert got._v == expected._v and got._den == expected._den
+            row, real = [c / den for c in nums], b.to_real()
+            expected = old_quotient_series(row + [0.0] * (d - len(row)), real._v)
+            if all(map(math.isfinite, expected)):
+                got = algebras._series_quotient(row, 1, real)
+                assert [c.hex() for c in got._v] == [c.hex() for c in expected], (w, b, nums)
+            else:
+                with pytest.raises(DomainError, match="^a real-mode coordinate is out of float range$"):
+                    algebras._series_quotient(row, 1, real)
+            count += 1
+    assert count == 18 * 4 * 6 * 5
+    message = "^element with zero augmentation is not invertible$"
+    for w in (jet_algebra(1), jet_algebra(16), algebra(["t"], ["t^3 - t^5"], 6), algebra(["t"], [], 1)):
+        for mode, nums in ((RATIONAL, [1, -2]), (REAL, [1.0, -2.0])):
+            for x in (w.zero(mode), w.var_element(0, mode)):
+                with pytest.raises(DomainError, match=message):
+                    algebras._series_quotient(nums, 1, x)
 
 
 def test_quotient_over_a_long_jet_lifts_fast():

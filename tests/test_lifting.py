@@ -197,6 +197,15 @@ class TestTaylorCoefficients:
         assert "f0" not in out.out
         assert len(out.err.splitlines()) == 1
 
+    @pytest.mark.parametrize("mode, at", [(RATIONAL, F(0)), (REAL, 0.0)])
+    def test_count_below_one(self, mode, at):
+        # c_j for j < 0 is no coefficient; a negative count is an error
+        assert taylor_coefficients("exp", at, 0, mode) == []
+        for count in (-1, -17):
+            with pytest.raises(ValueError, match="negative coefficient count"):
+                taylor_coefficients("exp", at, count, mode)
+        assert len(taylor_coefficients("exp", at, 1, mode)) == 1
+
     def test_float_log_series(self):
         coeffs = taylor_coefficients("log", 2.0, 4, REAL)
         assert coeffs[0] == pytest.approx(math.log(2.0))
@@ -935,6 +944,20 @@ class TestConstantsStayNumbers:
         assert mode == RATIONAL and values == (w.const(F(3071, 3)),)
         assert calls == {"mul": 0, "inverse": 0}
 
+    def test_exact_quotients_over_one_variable_take_one_pass(self, monkeypatch):
+        # a / b is one run of the quotient recurrence, with no inverse and
+        # no product; a negative power is the inverse, then 1·base
+        calls = self.counting(monkeypatch)
+        w = jet_algebra(16)
+        for text, counts in (
+            ("t/(1 + t^2)", {"mul": 1, "inverse": 0}),
+            ("(t - 1)/(t + 2)", {"mul": 0, "inverse": 0}),
+            ("(1 - t)^-1", {"mul": 1, "inverse": 1}),
+        ):
+            calls.update(mul=0, inverse=0)
+            taylor_lift_at(parse_smooth_map(text), w, [F(1, 3)])
+            assert calls == counts, text
+
     @pytest.mark.parametrize("mode", [RATIONAL, REAL])
     def test_scaling_stores_what_the_constant_product_stores(self, mode):
         # _scaled copies the rounding of const(s)·x, which skips zero
@@ -985,6 +1008,24 @@ class TestConstantsStayNumbers:
         with pytest.raises(DomainError) as info:
             lift_with_fallback(parse_smooth_map(text), algebra, at)
         assert str(info.value) == message
+
+
+def test_exact_quotient_lifts_match_sympy_series():
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    texts = ["1/(1 + t^2)", "t/(1 + t^2)", "(1 - t)^-1", "(t - 1)/(t + 2)", "(2*t + 3)^-3"]
+    for text in texts:
+        f, expr = parse_smooth_map(text), sympy.sympify(text.replace("^", "**"), {"t": t})
+        for at in (F(0), F(1, 3), F(-5, 2)):
+            # one series to order 17; jets 2 and 8 read its first 3 and 9
+            shifted = expr.subs(t, t + sympy.Rational(at.numerator, at.denominator))
+            series = sympy.expand(sympy.series(shifted, t, 0, 17).removeO())
+            want = [series.coeff(t, j) for j in range(17)]
+            want = [F(int(c.p), int(c.q)) for c in want]
+            for k in (2, 8, 16):
+                (value,) = taylor_lift_at(f, jet_algebra(k), [at])
+                got = frac_coeffs(value, *((j,) for j in range(k + 1)))
+                assert got == want[: k + 1], (text, at, k)
 
 
 NOT_INVERTIBLE = "element with zero augmentation is not invertible"
