@@ -134,7 +134,8 @@ class WeilPresentation:
 INTERN_CAPACITY = 256
 
 # Largest truncated ring an algebra may span: comb(nvars + order - 1,
-# nvars) monomials of total degree below the order.
+# nvars) monomials of total degree below the order.  It bounds the order
+# too, which the span does not do with no variables.
 MAX_MONOMIALS = 1000
 
 
@@ -145,6 +146,8 @@ def _check_span(nvars: int, order: int) -> None:
             f"presentation spans {size} monomials below degree {order}; "
             f"at most {MAX_MONOMIALS} are allowed"
         )
+    if order > MAX_MONOMIALS:
+        raise ParseError(f"nilpotency order {order} exceeds {MAX_MONOMIALS}")
 
 
 class _TensorRelations(tuple):
@@ -481,6 +484,30 @@ def _exact(algebra: WeilAlgebra, nums: List[int], den: int) -> "WeilElement":
     return WeilElement(algebra, nums, RATIONAL, den)
 
 
+def _row_product(algebra: WeilAlgebra, real: bool, row: list, right: list) -> list:
+    """The product of coordinate rows of ``algebra``: floats in real mode,
+    else integer numerators over the operands' denominators times the
+    table's; ``right`` holds (position, code, coordinate) for each nonzero
+    coordinate in basis order.  Each pair of nonzero coordinates, in basis
+    order, adds its product times the pair's structure constants into the
+    accumulator, so a real product rounds as the graded-lex pair loop over
+    the basis does."""
+    codes, reach, exact_table, _, real_table = algebra._kernel
+    table = real_table if real else exact_table
+    acc = [0.0 if real else 0] * algebra.dimension
+    for i, c1 in enumerate(row):
+        if not c1:
+            continue
+        code, bound = codes[i], reach[i]
+        for j, cj, c2 in right:
+            if j >= bound:
+                break
+            c = c1 * c2
+            for k, f in table[code + cj]:
+                acc[k] += c * f
+    return acc
+
+
 class WeilElement:
     """Coordinates by basis position, in a single scalar mode.
 
@@ -580,27 +607,13 @@ class WeilElement:
 
     # -- multiplicative structure ----------------------------------------------
     def mul(self, other: "WeilElement") -> "WeilElement":
-        """Each pair of nonzero coordinates, in basis order, adds its
-        product times the structure constants of the pair into the
-        accumulator; a real product therefore rounds exactly as the
-        graded-lex pair loop over the basis does."""
+        """The product of the coordinate rows, by ``_row_product``."""
         self._match(other)
-        algebra = self.algebra
-        codes, reach, exact_table, table_den, real_table = algebra._kernel
-        real = self.mode == REAL
-        table = real_table if real else exact_table
-        acc = [0.0 if real else 0] * algebra.dimension
-        right = [(j, codes[j], c) for j, c in enumerate(other._v) if c]
-        for i, c1 in enumerate(self._v):
-            if not c1:
-                continue
-            code, bound = codes[i], reach[i]
-            for j, cj, c2 in right:
-                if j >= bound:
-                    break
-                c = c1 * c2
-                for k, f in table[code + cj]:
-                    acc[k] += c * f
+        algebra, real = self.algebra, self.mode == REAL
+        codes, _, _, table_den, _ = algebra._kernel
+        acc = _row_product(
+            algebra, real, self._v, [(j, codes[j], c) for j, c in enumerate(other._v) if c]
+        )
         if real:
             return _real(algebra, acc)
         return _exact(algebra, acc, self._den * other._den * table_den)
@@ -818,29 +831,19 @@ class RingCoords:
         return self._new(rows, self._den * q)
 
     def mul(self, other: "RingCoords") -> "RingCoords":
-        """Each pair of rows multiplies into a fresh row, by the loop of
-        ``WeilElement.mul``, and is added times each factor of the key
+        """Each pair of rows multiplies by ``_row_product``, the loop of
+        ``WeilElement.mul`` too, and is added times each factor of the key
         product, so a real product rounds as one element per key does."""
         self._match(other)
         ring, real = self._ring, self.mode == REAL
-        codes, reach, exact_table, table_den, real_table = ring._kernel
-        table = real_table if real else exact_table
+        codes, _, _, table_den, _ = ring._kernel
         key_product, key_den = self._key_rule()
         order = RingCoords._ordered if real else (lambda value: value._rows.items())
         rhs = [(k2, [(j, codes[j], c) for j, c in enumerate(row) if c]) for k2, row in order(other)]
-        zero = [0.0 if real else 0] * ring.dimension
         acc: dict = {}
         for k1, row in order(self):
-            lhs = [(codes[i], reach[i], c) for i, c in enumerate(row) if c]
             for k2, right in rhs:
-                prod = zero.copy()
-                for code, bound, c1 in lhs:
-                    for j, cj, c2 in right:
-                        if j >= bound:
-                            break
-                        c = c1 * c2
-                        for k, f in table[code + cj]:
-                            prod[k] += c * f
+                prod = _row_product(ring, real, row, right)
                 if not any(prod):
                     continue
                 for key, f in key_product(k1, k2):
@@ -958,22 +961,17 @@ class WeilMorphism:
         basis order; a real element uses the images rounded to floats."""
         if element.algebra != self.source:
             raise AlgebraMismatch("element does not belong to the morphism's source")
-        target = self.target
+        target, real = self.target, element.mode == REAL
         images = [(c, image) for c, image in zip(element._v, self._basis_images) if c]
-        if element.mode == REAL:
-            acc = [0.0] * target.dimension
-            for c, image in images:
-                for k, x in enumerate(image._floats()):
-                    if x:
-                        acc[k] += x * c
-            return _real(target, acc)
-        den = math.lcm(*(image._den for _, image in images))
-        acc = [0] * target.dimension
+        den = 1 if real else math.lcm(*(image._den for _, image in images))
+        acc = [0.0 if real else 0] * target.dimension
         for c, image in images:
-            weight = c * (den // image._den)
-            for k, x in enumerate(image._v):
+            weight, row = (c, image._floats()) if real else (c * (den // image._den), image._v)
+            for k, x in enumerate(row):
                 if x:
                     acc[k] += x * weight
+        if real:
+            return _real(target, acc)
         return _exact(target, acc, den * element._den)
 
     def compose(self, then: "WeilMorphism") -> "WeilMorphism":

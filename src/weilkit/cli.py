@@ -48,15 +48,18 @@ def _resolve_algebra(name_or_path: str) -> WeilAlgebra:
     return mk_weil_algebra(WeilPresentation.from_file(path))
 
 
-def _parse_rationals(text: str) -> List[Fraction]:
-    out = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        try:
-            out.append(Fraction(chunk))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad rational {chunk!r} in base point") from exc
-    return out
+def _parse_rational(text: str) -> Fraction:
+    """One base point coordinate.  Fraction computes 10**E for "...eE" with
+    no bound on E; |E| may be at most 4300, the digit limit int() puts on
+    the literal itself."""
+    text = text.strip()
+    _, e, exponent = text.lower().rpartition("e")
+    try:
+        if e and abs(int(exponent)) > 4300:
+            raise ParseError(f"exponent of base point {text!r} exceeds 4300 in absolute value")
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad rational {text!r} in base point") from exc
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -72,7 +75,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_lift(args: argparse.Namespace) -> int:
     algebra = _resolve_algebra(args.algebra)
     f = parse_smooth_map(args.expr, arity=algebra.nvars)
-    base = _parse_rationals(args.at)
+    base = [_parse_rational(chunk) for chunk in args.at.split(",")]
     if len(base) != algebra.nvars:
         raise ParseError(
             f"expected {algebra.nvars} base coordinates, got {len(base)}"
@@ -87,15 +90,11 @@ def cmd_lift(args: argparse.Namespace) -> int:
 def cmd_derive(args: argparse.Namespace) -> int:
     k = args.order
     if not 1 <= k <= 12:
-        print("error: --order must be between 1 and 12", file=sys.stderr)
-        return 2
+        raise ParseError("--order must be between 1 and 12")
     f = parse_smooth_map(args.expr, arity=1)
     if f.coarity != 1:
         raise ParseError("derive expects a single scalar expression")
-    try:
-        base = Fraction(args.at.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational base point {args.at!r}") from exc
+    base = _parse_rational(args.at)
     algebra = jet_algebra(k)
     (value,), mode = lift_with_fallback(f, algebra, [base])
     for j in range(k + 1):

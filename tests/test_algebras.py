@@ -812,6 +812,75 @@ def test_relations_still_checked_at_or_above_the_target_order():
     ) == target.var_element(0)
 
 
+def _two_loop_apply(psi, element):
+    """``WeilMorphism.apply`` as it was written before its loops merged:
+    one loop per scalar mode."""
+    target = psi.target
+    images = [(c, image) for c, image in zip(element._v, psi._basis_images) if c]
+    if element.mode == REAL:
+        acc = [0.0] * target.dimension
+        for c, image in images:
+            for k, x in enumerate(image._floats()):
+                if x:
+                    acc[k] += x * c
+        return algebras._real(target, acc)
+    den = math.lcm(*(image._den for _, image in images))
+    acc = [0] * target.dimension
+    for c, image in images:
+        weight = c * (den // image._den)
+        for k, x in enumerate(image._v):
+            if x:
+                acc[k] += x * weight
+    return algebras._exact(target, acc, den * element._den)
+
+
+def _apply_outcome(apply, psi, element):
+    """Exact vectors, denominators and hashes as they are, real vectors by
+    ``float.hex``, errors by type and message."""
+    try:
+        value = apply(psi, element)
+    except DomainError as exc:
+        return type(exc), str(exc)
+    if value.mode == REAL:
+        return [x.hex() for x in value._v], value.algebra
+    return value._v, value._den, hash(value), value.algebra
+
+
+def _pinned_morphisms(rng):
+    presets = [preset_algebra(name) for name in sorted(PRESETS)]
+    jets = [jet_algebra(k) for k in (1, 2, 3, 5)]
+    randoms = [samplers.random_weil_algebra(rng) for _ in range(12)]
+    for source in presets + jets:
+        for target in presets + jets:
+            yield samplers.random_morphism(rng, source, target)
+    for source, target in zip(randoms, reversed(randoms)):
+        yield samplers.random_morphism(rng, source, target)
+        yield zero_morphism(source, target)
+    for v in (DUAL, D2, jet_algebra(2)):
+        psi = samplers.random_morphism(rng, JET4, jet_algebra(6))
+        yield tensor_morphism(identity_morphism(v), psi)
+        yield tensor_morphism(psi, zero_morphism(v, DUAL))
+
+
+def test_merged_apply_matches_the_two_loop_apply():
+    rng = random.Random(20261020)
+    fractional = 0
+    for psi in _pinned_morphisms(rng):
+        w = psi.source
+        fractional += any(image._den > 1 for image in psi._basis_images)
+        elements = [w.zero(), w.one(), w.zero(REAL), w.one(REAL)]
+        for _ in range(3):
+            elements.append(samplers.random_element(rng, w))
+            terms = {m: rng.uniform(-3.0, 3.0) for m in rng.sample(w.basis, min(4, w.dimension))}
+            elements.append(w.element(terms, REAL))
+        elements += [e.neg() for e in elements]  # real zeros become -0.0
+        elements.append(w.element({w.basis[-1]: 1e308}, REAL))  # may leave float range
+        for e in elements:
+            expected = _apply_outcome(_two_loop_apply, psi, e)
+            assert _apply_outcome(WeilMorphism.apply, psi, e) == expected, (psi, e)
+    assert fractional > 20
+
+
 # ---------------------------------------------------------------------------
 # resource limits
 
@@ -821,6 +890,16 @@ def test_presentation_size_cap_is_checked_before_building(monkeypatch):
     assert algebra(("x", "y"), ("x*y",), 2).dimension == 3  # 1, x, y: at the cap
     with pytest.raises(ParseError, match="6 monomials below degree 3; at most 3"):
         algebra(("x", "y"), ("x*y",), 3)
+
+
+def test_order_is_capped_with_no_variables():
+    # comb(k - 1, 0) is 1 at every order k, so the span alone bounds nothing
+    assert WeilAlgebra((), (), MAX_MONOMIALS).dimension == 1
+    started = time.monotonic()
+    for order in (MAX_MONOMIALS + 1, 4_000_000):
+        with pytest.raises(ParseError, match=f"nilpotency order {order} exceeds 1000"):
+            WeilAlgebra((), (), order)
+    assert time.monotonic() - started < 1.0
 
 
 def test_presentation_size_cap_covers_tensors_and_jets():

@@ -306,6 +306,19 @@ class TestCliCheck:
         assert err.startswith("error: presentation spans 100000 monomials")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("order", [1001, 4000000])
+    def test_order_with_no_variables_exits_2_at_once(self, order, tmp_path, capsys):
+        # one monomial spans every order with no variables; the order is
+        # bounded on its own
+        f = tmp_path / "point.json"
+        write_presentation(f, [], [], order)
+        started = time.monotonic()
+        assert main(["check", str(f)]) == 2
+        assert time.monotonic() - started < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: nilpotency order {order} exceeds 1000\n"
+
     def test_huge_relation_exponent_exits_2(self, tmp_path, capsys):
         f = tmp_path / "tall.json"
         write_presentation(f, ["x"], ["x^100000000"], 3)
@@ -451,6 +464,29 @@ class TestCliLift:
     def test_unknown_algebra(self):
         assert main(["lift", "--algebra", "sextic", "--expr", "t", "--at", "0"]) == 2
 
+    @pytest.mark.parametrize("at", ["1e4301", "-1e-5000", "2,1E+3000000"])
+    @pytest.mark.parametrize("command", ["lift", "derive"])
+    def test_huge_base_point_exponent_exits_2_at_once(self, command, at, capsys):
+        # Fraction would compute 10**E first, with no bound on E
+        flags = ["--algebra", "d2"] if command == "lift" else ["--order", "2"]
+        started = time.monotonic()
+        assert main([command, *flags, "--expr", "x" if command == "lift" else "t", "--at", at]) == 2
+        assert time.monotonic() - started < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: exponent of base point ")
+        assert captured.err.endswith(" exceeds 4300 in absolute value\n")
+        assert len(captured.err.splitlines()) == 1
+
+    def test_base_point_with_an_exponent_at_the_bound_lifts(self, capsys):
+        assert main(["lift", "--algebra", "dual", "--expr", "t", "--at", "1e3"]) == 0
+        assert capsys.readouterr().out == "mode rational\nf0 = 1000 + x\n"
+        assert main(["derive", "--order", "1", "--expr", "t", "--at", "-1E-2"]) == 0
+        assert capsys.readouterr().out == "0: -1/100\n1: 1\n"
+        # 10**4300 is read, and has one digit too many to print
+        assert main(["lift", "--algebra", "dual", "--expr", "t", "--at", "1e4300"]) == 3
+        assert "too many digits to print" in capsys.readouterr().err
+
     def test_domain_error_exits_3(self):
         assert main(["lift", "--algebra", "dual", "--expr", "log(t)", "--at", "0"]) == 3
 
@@ -565,6 +601,13 @@ class TestCliDerive:
     def test_order_guard(self):
         assert main(["derive", "--order", "13", "--expr", "t", "--at", "0"]) == 2
         assert main(["derive", "--order", "0", "--expr", "t", "--at", "0"]) == 2
+
+    @pytest.mark.parametrize("order", ["0", "13"])
+    def test_order_guard_says_why_on_one_line(self, order, capsys):
+        assert main(["derive", "--order", order, "--expr", "t", "--at", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --order must be between 1 and 12\n"
 
     def test_tuple_expression_rejected(self):
         assert main(["derive", "--order", "2", "--expr", "(t, t)", "--at", "0"]) == 2

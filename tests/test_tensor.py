@@ -579,6 +579,28 @@ def test_flat_ring_operations_match_one_coefficient_per_key():
     assert len(kinds) == 4
 
 
+def sparse_mul(a, b):
+    """A coefficient product pair by pair in basis order through the
+    algebra's ``basis_product``, as the element kernel's sparse reference
+    takes it: no kernel table and no row loop."""
+    w, acc = a.algebra, {}
+    for m1, c1 in a.coords.items():
+        for m2, c2 in b.coords.items():
+            for m, f in w.basis_product(m1, m2):
+                acc[m] = acc.get(m, 0) + c1 * c2 * f
+    return w.element(acc, a.mode)
+
+
+def test_flat_products_match_the_sparse_reference(monkeypatch):
+    # the test above multiplies its coefficients by WeilElement.mul, which
+    # runs the same row loop as RingCoords.mul; here they multiply apart
+    pairs = list(flat_operands(random.Random(38)))
+    products = [a.mul(b) for a, b in pairs]
+    monkeypatch.setattr(algebras.WeilElement, "mul", sparse_mul)
+    for (a, b), product in zip(pairs, products):
+        same_flat(product, old_mul(a, b))
+
+
 @pytest.mark.parametrize("case", range(len(CURRY_CASES)))
 def test_regroupings_build_no_element_per_key(case, monkeypatch):
     inner_nvars, inner, outer_nvars, outer = CURRY_CASES[case]
