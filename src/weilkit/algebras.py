@@ -979,6 +979,8 @@ class WeilMorphism:
         (apply self first, then ``then``); requires self.target == then.source."""
         if self.target != then.source:
             raise AlgebraMismatch("morphisms are not composable")
+        if not then.psibar:  # through a zero-variable algebra every psibar is 0
+            return zero_morphism(self.source, then.target)
         new_psibar = [
             p.substitute(list(then.psibar), then.target.order) for p in self.psibar
         ]

@@ -66,7 +66,7 @@ from .expressions import (
     is_polynomial_map,
     polynomial_to_expr,
 )
-from .polynomials import Monomial, times_power, unit_monomial
+from .polynomials import Monomial, Polynomial, times_power, unit_monomial
 from .reports import SuiteReport, scalar_str
 from .samplers import random_element, random_point
 
@@ -476,8 +476,10 @@ def equiv_mod(f: SmoothMap, g: SmoothMap, algebra: WeilAlgebra) -> EquivalenceVe
     differs and the (already reduced) difference."""
     if f.coarity != g.coarity:
         raise AlgebraMismatch("maps with different output counts are never equivalent")
-    cf = class_of(f, algebra).data
-    cg = class_of(g, algebra).data
+    return _verdict(class_of(f, algebra).data, class_of(g, algebra).data)
+
+
+def _verdict(cf, cg) -> EquivalenceVerdict:
     for i, (a, b) in enumerate(zip(cf, cg)):
         if a != b:
             return EquivalenceVerdict(False, i, a.sub(b))
@@ -925,10 +927,12 @@ def check_product_preservation(
     first = f.select(range(p))
     second = f.select(range(p, p + q))
 
+    # f's classes are lifted once per case; each sample lifts g's components
+    # on their own, not sliced from g's class, so it tests the product law
     whole = class_of(f, algebra).data
-    split_ok = whole[:p] == class_of(first, algebra).data and whole[p:] == class_of(
-        second, algebra
-    ).data
+    first_class = class_of(first, algebra).data
+    second_class = class_of(second, algebra).data
+    split_ok = whole[:p] == first_class and whole[p:] == second_class
     report.record_case(
         split_ok,
         lambda: {"case": label, "kind": "class-splitting", "map": format_map(f)},
@@ -940,7 +944,9 @@ def check_product_preservation(
         component = rng.randrange(len(outputs))
         plant_equivalent = rng.random() < 0.5 or not nontrivial_basis
         if plant_equivalent:
-            g_poly = rng.choice(algebra.ideal_generators())
+            # with no generator (no variables) plant 0, which every ideal holds
+            generators = algebra.ideal_generators()
+            g_poly = rng.choice(generators) if generators else Polynomial(algebra.nvars)
             multiplier = random_element(rng, algebra, max_terms=2)
             perturb_expr = polynomial_to_expr(g_poly)
             if not multiplier.is_zero():
@@ -955,9 +961,9 @@ def check_product_preservation(
         outputs[component] = Add(outputs[component], perturb_expr)
         g = SmoothMap(f.arity, tuple(outputs))
 
-        joint = equiv_mod(f, g, algebra)
-        left = equiv_mod(first, g.select(range(p)), algebra)
-        right = equiv_mod(second, g.select(range(p, p + q)), algebra)
+        joint = _verdict(whole, class_of(g, algebra).data)
+        left = _verdict(first_class, class_of(g.select(range(p)), algebra).data)
+        right = _verdict(second_class, class_of(g.select(range(p, p + q)), algebra).data)
         consistent = joint.equivalent == (left.equivalent and right.equivalent)
         expected = joint.equivalent == plant_equivalent
         report.record_case(

@@ -78,6 +78,8 @@ def random_polynomial(
         for m in monomials_up_to_degree(nvars, max_degree)
         if m.degree >= min_degree
     ]
+    if not pool:  # no variables and min_degree >= 1: only zero is left
+        return Polynomial(nvars)
     count = rng.randint(1, min(max_terms, len(pool)))
     chosen = rng.sample(pool, count)
     return Polynomial(nvars, {m: random_fraction(rng) for m in chosen})

@@ -677,6 +677,19 @@ def test_compose_associative():
     assert lhs.acts_same(rhs)
 
 
+def test_compose_through_a_zero_variable_algebra():
+    # the real line has no generator, so the composite sends every
+    # generator of its source to 0, in its target's variables
+    point, jet2 = algebra((), (), 1), jet_algebra(2)
+    to_point = zero_morphism(D2, point)
+    from_point = mk_morphism(point, jet2, [])
+    composite = to_point.compose(from_point)
+    assert (composite.source, composite.target) == (D2, jet2)
+    assert composite.psibar == (Polynomial(1), Polynomial(1))
+    a = D2.element({Monomial((0, 0)): 3, Monomial((1, 0)): 5, Monomial((0, 1)): 7})
+    assert composite.apply(a) == from_point.apply(to_point.apply(a)) == jet2.one().scale(3)
+
+
 @settings(max_examples=25, deadline=None)
 @given(elements(DUAL), elements(DUAL))
 def test_apply_is_algebra_hom(a, b):

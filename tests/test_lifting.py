@@ -2,7 +2,9 @@ import dataclasses
 import math
 import random
 import time
+import zlib
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 from expr_corpus import CORPUS, EXACT_SUBSET
 from oracles import fd_derivative, rel_close, symbolic_derivative_at
 
-from weilkit import lifting
+from weilkit import lifting, suites
 from weilkit.algebras import (
     RATIONAL,
     REAL,
@@ -44,6 +46,7 @@ from weilkit.expressions import (
     Var,
     compose_maps,
     fold_expr,
+    format_map,
     map_polynomials,
     parse_smooth_map,
     polynomial_to_expr,
@@ -75,8 +78,15 @@ from weilkit.lifting import (
     weil_context,
 )
 from weilkit.polynomials import Monomial, parse_polynomial, times_power
-from weilkit.samplers import random_element, random_poly_map, random_smooth_map
+from weilkit.reports import SuiteReport
+from weilkit.samplers import (
+    random_element,
+    random_poly_map,
+    random_smooth_map,
+    random_weil_algebra,
+)
 
+REPO = Path(__file__).resolve().parent.parent
 DUAL = preset_algebra("dual")
 JET2 = preset_algebra("jet2")
 JET3 = preset_algebra("jet3")
@@ -651,6 +661,94 @@ class TestAssociativityIso:
             assert iso.backward(iso.forward(nested)) == nested
 
 
+def reference_product_preservation(
+    x_space, y_space, algebra, f, samples, rng=None, label=""
+):
+    """check_product_preservation as it was when every sample compared
+    through equiv_mod, lifting f and its components again each time."""
+    rng = rng or random.Random(0)
+    report = SuiteReport("product-preservation")
+    p, q = x_space.dim, y_space.dim
+    if f.coarity != p + q:
+        raise AlgebraMismatch("map must land in the product of the two spaces")
+    first = f.select(range(p))
+    second = f.select(range(p, p + q))
+
+    whole = lifting.class_of(f, algebra).data
+    split_ok = whole[:p] == lifting.class_of(
+        first, algebra
+    ).data and whole[p:] == lifting.class_of(second, algebra).data
+    report.record_case(
+        split_ok,
+        lambda: {"case": label, "kind": "class-splitting", "map": format_map(f)},
+    )
+
+    nontrivial_basis = [m for m in algebra.basis if m.degree >= 1]
+    for i in range(samples):
+        outputs = list(f.outputs)
+        component = rng.randrange(len(outputs))
+        plant_equivalent = rng.random() < 0.5 or not nontrivial_basis
+        if plant_equivalent:
+            g_poly = rng.choice(algebra.ideal_generators())
+            multiplier = random_element(rng, algebra, max_terms=2)
+            perturb_expr = polynomial_to_expr(g_poly)
+            if not multiplier.is_zero():
+                perturb_expr = Mul(
+                    polynomial_to_expr(multiplier.as_polynomial()), perturb_expr
+                )
+        else:
+            mono = rng.choice(nontrivial_basis)
+            perturb_expr = polynomial_to_expr(
+                algebra.basis_element(mono).as_polynomial()
+            )
+        outputs[component] = Add(outputs[component], perturb_expr)
+        g = SmoothMap(f.arity, tuple(outputs))
+
+        joint = lifting.equiv_mod(f, g, algebra)
+        left = lifting.equiv_mod(first, g.select(range(p)), algebra)
+        right = lifting.equiv_mod(second, g.select(range(p, p + q)), algebra)
+        consistent = joint.equivalent == (left.equivalent and right.equivalent)
+        expected = joint.equivalent == plant_equivalent
+        report.record_case(
+            consistent and expected,
+            {
+                "case": label,
+                "sample": i,
+                "kind": "equivalence-splitting",
+                "planted": "ideal-member" if plant_equivalent else "basis-monomial",
+                "component": component,
+                "joint": joint.equivalent,
+                "left": left.equivalent,
+                "right": right.equivalent,
+            },
+        )
+    return report
+
+
+def shifted(point):
+    """The point with one added to its first coordinate: a wrong class."""
+    first = point.data[0]
+    return WPoint(point.space, (first.add(first.algebra.one()), *point.data[1:]))
+
+
+def assert_same_as_reference(x_space, y_space, algebra, f, samples, rng, label=""):
+    """Run the check and the reference from one rng state and compare
+    the reports field by field and the rng states they leave."""
+    ref_rng = random.Random()
+    ref_rng.setstate(rng.getstate())
+    ref = reference_product_preservation(
+        x_space, y_space, algebra, f, samples, ref_rng, label
+    )
+    report = check_product_preservation(
+        x_space, y_space, algebra, f, samples, rng, label
+    )
+    assert (report.cases, report.failures) == (ref.cases, ref.failures)
+    assert report.witnesses == ref.witnesses
+    assert report.extra == ref.extra
+    assert rng.getstate() == ref_rng.getstate()
+    return report
+
+
 class TestProductPreservation:
     def test_truncation_class_example(self):
         report = check_product_preservation(
@@ -686,6 +784,105 @@ class TestProductPreservation:
             )
             assert report.cases == 41
             assert report.failures == 0
+
+    def test_matches_the_per_sample_reference_on_random_draws(self):
+        rng = random.Random(25)
+        for _ in range(100):
+            algebra = random_weil_algebra(rng)
+            p, q = rng.randint(1, 2), rng.randint(1, 2)
+            f = random_poly_map(rng, algebra.nvars, p + q, max_degree=3)
+            samples = rng.randint(0, 5)
+            case_rng = random.Random(rng.random())
+            assert_same_as_reference(
+                Euclidean(p), Euclidean(q), algebra, f, samples, case_rng
+            )
+
+    def test_matches_the_reference_under_a_content_keyed_fault(self):
+        # a wrong class for every map whose text hashes to 0 mod 3: both
+        # versions lift the same maps, so they must fail the same samples
+        real = lifting.class_of
+
+        def faulty(f, algebra, mode=RATIONAL):
+            point = real(f, algebra, mode)
+            return shifted(point) if zlib.crc32(format_map(f).encode()) % 3 == 0 else point
+
+        rng = random.Random(26)
+        failures = 0
+        with mock.patch.object(lifting, "class_of", faulty):
+            for _ in range(40):
+                algebra = random_weil_algebra(rng, max_dimension=12)
+                f = random_poly_map(rng, algebra.nvars, 3, max_degree=2)
+                report = assert_same_as_reference(
+                    Euclidean(2), Euclidean(1), algebra, f, 4, random.Random(rng.random())
+                )
+                failures += report.failures
+        assert failures > 0
+
+    def test_matches_the_reference_on_the_default_suite(self):
+        calls = []
+
+        def compared(x_space, y_space, algebra, f, samples, rng, label):
+            calls.append(label)
+            return assert_same_as_reference(
+                x_space, y_space, algebra, f, samples, rng, label
+            )
+
+        config = suites.load_config(REPO / "configs" / "default.json")
+        with mock.patch.object(suites, "check_product_preservation", compared):
+            report = suites.REGISTRY["product-preservation"](config)
+        assert len(calls) == config.count("product-preservation") == 50
+        assert (report.cases, report.failures) == (150, 0)
+
+    @pytest.mark.parametrize("samples", [0, 1, 2, 5])
+    def test_a_case_lifts_its_own_maps_once(self, samples):
+        # three lifts for f and its two components, then three per sample
+        # for g and its two components
+        f = parse_smooth_map("(t^2, sin(t), 1 + t^3)")
+        with mock.patch.object(
+            lifting, "taylor_lift", wraps=lifting.taylor_lift
+        ) as lift:
+            report = check_product_preservation(
+                Euclidean(2), Euclidean(1), JET3, f, samples, random.Random(5)
+            )
+        assert report.failures == 0
+        assert lift.call_count == 3 + 3 * samples
+
+    @pytest.mark.parametrize("side, offset", [("left", 2), ("right", 0)])
+    def test_a_wrong_class_of_one_projection_of_g_fails_the_case(self, side, offset):
+        # after the case's own three lifts, each sample lifts g, then its
+        # left projection, then its right one; only one projection is wrong
+        real = lifting.class_of
+        calls = []
+
+        def faulty(f, algebra, mode=RATIONAL):
+            calls.append(f)
+            point = real(f, algebra, mode)
+            return shifted(point) if len(calls) > 3 and len(calls) % 3 == offset else point
+
+        f = parse_smooth_map("(t^2, sin(t), 1 + t^3)")
+        with mock.patch.object(lifting, "class_of", faulty):
+            report = check_product_preservation(
+                Euclidean(2), Euclidean(1), JET3, f, 12, random.Random(6)
+            )
+        assert len(calls) == 3 + 3 * 12
+        assert report.failures > 0
+        for witness in report.witnesses:
+            # g is equivalent to f, yet the wrong projection says it is not
+            assert witness["planted"] == "ideal-member"
+            assert witness["joint"] and not witness[side]
+
+    def test_zero_variable_algebra_plants_zero(self):
+        point = WeilAlgebra((), (), 1)
+        assert point.ideal_generators() == []
+        report = check_product_preservation(
+            Euclidean(1),
+            Euclidean(2),
+            point,
+            parse_smooth_map("(2, 3, 1/2)", arity=0),
+            samples=6,
+            rng=random.Random(7),
+        )
+        assert (report.cases, report.failures) == (7, 0)
 
 
 def iterate(link: SmoothMap, depth: int) -> SmoothMap:

@@ -284,6 +284,15 @@ def test_substitute_truncates_like_a_full_expansion():
             assert p.substitute(images, bound) == full.truncate(bound)
 
 
+def test_random_polynomial_with_an_empty_pool_is_zero_without_a_draw():
+    rng = random.Random(4)
+    state = rng.getstate()
+    assert random_polynomial(rng, 0, max_degree=3, min_degree=1) == Polynomial(0)
+    assert random_polynomial(rng, 2, max_degree=1, min_degree=2) == Polynomial(2)
+    assert rng.getstate() == state
+    assert random_polynomial(rng, 0, max_degree=3).terms.keys() == {Monomial(())}
+
+
 def test_embed_poly_offsets_block():
     p = parse_polynomial("x^2", ("x",))
     q = embed_poly(p, 3, 1)

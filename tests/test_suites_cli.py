@@ -718,6 +718,29 @@ class TestCliVerify:
         assert err.startswith("error: exp Taylor coefficients")
         assert "Traceback" not in err and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("suite", list(DEFAULT_CASES))
+    def test_zero_variable_algebra_in_the_grid(self, suite, tmp_path, capsys):
+        # the real line itself: no monomial of degree 1 to draw into a
+        # morphism, no ideal generator to plant into a map
+        write_presentation(tmp_path / "point.json", [], [], 1)
+        config = self.write_config(
+            tmp_path,
+            suites=[suite],
+            seed=7,
+            cases={},
+            dims_grid={"algebras": [{"file": "point.json"}, "dual"]},
+        )
+        out = tmp_path / "report.json"
+        code = main(["verify", "--config", str(config), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if suite in ("morphism-laws", "naturality", "functor-actions", "product-preservation"):
+            assert code in (0, 1)
+            assert json.loads(out.read_text())["suites"][0]["name"] == suite
+        else:
+            # lifting-laws may leave the float range here and exit 3
+            assert code in (0, 1, 3)
+
     def test_failures_exit_1(self, tmp_path, monkeypatch):
         def failing(config):
             report = SuiteReport("ring-laws")
