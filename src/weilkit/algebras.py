@@ -229,7 +229,7 @@ def _tensor_rows(w1: "WeilAlgebra", w2: "WeilAlgebra"):
         row = {mono: one}
         for (_, m), c in terms:
             row[m] = -c
-        rows.append((mono, Polynomial(nvars, row)))
+        rows.append((mono, Polynomial._build(nvars, row)))
     return ReductionBasis(nvars, order, rows), basis, table
 
 
@@ -661,7 +661,7 @@ class WeilElement:
         """Canonical polynomial representative (rational mode only)."""
         if self.mode != RATIONAL:
             raise ScalarModeError("no exact representative for a float element")
-        return Polynomial(self.algebra.nvars, dict(self.coords))
+        return Polynomial._build(self.algebra.nvars, dict(self.coords))
 
 
 def _series_quotient(a: list, den: int, b: WeilElement) -> WeilElement:
@@ -979,10 +979,9 @@ class WeilMorphism:
         (apply self first, then ``then``); requires self.target == then.source."""
         if self.target != then.source:
             raise AlgebraMismatch("morphisms are not composable")
-        if not then.psibar:  # through a zero-variable algebra every psibar is 0
-            return zero_morphism(self.source, then.target)
         new_psibar = [
-            p.substitute(list(then.psibar), then.target.order) for p in self.psibar
+            p.substitute(list(then.psibar), then.target.order, nvars=then.target.nvars)
+            for p in self.psibar
         ]
         return WeilMorphism(self.source, then.target, new_psibar)
 

@@ -199,9 +199,11 @@ class SmoothMap:
 
     arity: int
     outputs: Tuple[Expr, ...]
-    # whether an output calls a primitive: None until first asked; not a
-    # constructor field, so that dataclasses.replace starts it afresh
+    # whether an output calls a primitive, and the tuple of the outputs as
+    # polynomials: None until first asked or known where the map is made;
+    # not constructor fields, so that dataclasses.replace starts them afresh
     calls: Optional[bool] = field(default=None, init=False, compare=False, repr=False)
+    polynomials: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def coarity(self) -> int:
@@ -216,7 +218,10 @@ class SmoothMap:
 
     def select(self, indices: Sequence[int]) -> "SmoothMap":
         """Post-compose with a coordinate projection."""
-        return SmoothMap(self.arity, tuple(self.outputs[i] for i in indices))
+        f = SmoothMap(self.arity, tuple(self.outputs[i] for i in indices))
+        if self.polynomials is not None:
+            object.__setattr__(f, "polynomials", tuple(self.polynomials[i] for i in indices))
+        return f
 
 
 def pair_maps(f: SmoothMap, g: SmoothMap) -> SmoothMap:
@@ -591,17 +596,29 @@ def expr_polynomial(e: Expr, nvars: int) -> Optional[Polynomial]:
 
 
 def map_polynomials(f: SmoothMap) -> Optional[List[Polynomial]]:
-    out: List[Polynomial] = []
-    for o in f.outputs:
-        p = expr_polynomial(o, f.arity)
-        if p is None:
-            return None
-        out.append(p)
-    return out
+    """The outputs as polynomials, in a fresh list, or None when one is
+    not polynomial; a polynomial map keeps them, so expands once."""
+    if f.polynomials is None:
+        out: List[Polynomial] = []
+        for o in f.outputs:
+            p = expr_polynomial(o, f.arity)
+            if p is None:
+                return None
+            out.append(p)
+        object.__setattr__(f, "polynomials", tuple(out))
+    return list(f.polynomials)
 
 
 def is_polynomial_map(f: SmoothMap) -> bool:
     return map_polynomials(f) is not None
+
+
+def polynomial_map(arity: int, polys: Sequence[Polynomial]) -> SmoothMap:
+    """The map whose outputs are these polynomials in ``arity``
+    variables; it keeps them, so map_polynomials does not expand it."""
+    f = SmoothMap(arity, tuple(map(polynomial_to_expr, polys)))
+    object.__setattr__(f, "polynomials", tuple(polys))
+    return _with_calls(f, False)
 
 
 def polynomial_to_expr(p: Polynomial) -> Expr:

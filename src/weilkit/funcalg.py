@@ -901,7 +901,7 @@ def probe_functoriality(
 ) -> SuiteReport:
     """Empirical probe of whether the induced action composes: for sampled
     composable pairs (base images of degree 2), identity fixes one random
-    degree-1 carrier point (one point, no basis: ROADMAP item 6) and the
+    degree-1 carrier point (one point, no basis: ROADMAP item 4) and the
     action of the composite on it equals the composite of actions.
     The outcome is labeled evidence, never proof; a failing sample is
     serialized verbatim as a counterexample."""

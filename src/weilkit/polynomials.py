@@ -28,6 +28,7 @@ canonical: zero exactly on ideal members, idempotent, linear.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from operator import add
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
@@ -78,13 +79,8 @@ class Monomial(tuple):
         return _monomial(map(add, self, other))
 
     def format(self, names: Sequence[str]) -> str:
-        parts = []
-        for name, e in zip(names, self):
-            if e == 1:
-                parts.append(name)
-            elif e > 1:
-                parts.append(f"{name}^{e}")
-        return "*".join(parts) if parts else "1"
+        parts = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, self) if e]
+        return "*".join(parts) or "1"
 
 
 def _monomial(exponents: Iterable[int]) -> Monomial:
@@ -93,6 +89,7 @@ def _monomial(exponents: Iterable[int]) -> Monomial:
     return tuple.__new__(Monomial, exponents)
 
 
+@functools.lru_cache(maxsize=64)
 def unit_monomial(nvars: int) -> Monomial:
     return Monomial((0,) * nvars)
 
@@ -113,10 +110,17 @@ def _compositions(total: int, parts: int) -> Iterator[Tuple[int, ...]]:
             yield (first,) + rest
 
 
+@functools.lru_cache(maxsize=64)
+def monomial_range(nvars: int, low: int, high: int) -> Tuple[Monomial, ...]:
+    """All monomials of total degree in [low, high), sorted graded-lex
+    ascending (each degree comes out in lex order); enumerated once per
+    (nvars, low, high)."""
+    return tuple(m for d in range(max(low, 0), high) for m in monomials_of_degree(nvars, d))
+
+
 def monomials_below_degree(nvars: int, bound: int) -> List[Monomial]:
-    """All monomials of total degree < bound, sorted graded-lex ascending
-    (each degree comes out in lex order)."""
-    return [m for d in range(bound) for m in monomials_of_degree(nvars, d)]
+    """All monomials of total degree < bound, sorted graded-lex ascending."""
+    return list(monomial_range(nvars, 0, bound))
 
 
 def monomials_up_to_degree(nvars: int, bound: int) -> List[Monomial]:
@@ -135,24 +139,32 @@ class Polynomial:
     """Immutable sparse polynomial with exact rational coefficients.
 
     Invariant: no stored coefficient is zero, and every monomial has
-    exactly ``nvars`` exponents.  The hash is computed on first use and
-    kept, so a polynomial used again as part of an intern key costs no
-    rehash.
+    exactly ``nvars`` exponents.  ``Polynomial(...)`` checks it; kernel
+    results, which keep it by construction, come from ``_build`` without
+    the checks.  The hash is computed on first use and kept, so a
+    polynomial used again as part of an intern key costs no rehash.
     """
 
     __slots__ = ("nvars", "terms", "_hash")
 
     def __init__(self, nvars: int, terms: Dict[Monomial, Fraction] | None = None):
         clean: Terms = {}
-        if terms:
-            for mono, coeff in terms.items():
-                if len(mono) != nvars:
-                    raise ValueError("monomial arity mismatch in polynomial")
-                c = coeff if type(coeff) is Fraction else Fraction(coeff)
-                if c != 0:
-                    clean[mono] = c
+        for mono, coeff in (terms or {}).items():
+            if len(mono) != nvars:
+                raise ValueError("monomial arity mismatch in polynomial")
+            c = coeff if type(coeff) is Fraction else Fraction(coeff)
+            if c != 0:
+                clean[mono] = c
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
+
+    @staticmethod
+    def _build(nvars: int, terms: Terms) -> "Polynomial":
+        """A polynomial owning ``terms``, which already keep the invariant."""
+        self = object.__new__(Polynomial)
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "terms", terms)
+        return self
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Polynomial is immutable")
@@ -207,7 +219,8 @@ class Polynomial:
 
     # -- ring operations -------------------------------------------------
     def add(self, other: "Polynomial") -> "Polynomial":
-        self._check(other)
+        if self.nvars != other.nvars:
+            raise ValueError("polynomial arity mismatch")
         acc = dict(self.terms)
         for mono, coeff in other.terms.items():
             s = acc.get(mono, Fraction(0)) + coeff
@@ -215,36 +228,26 @@ class Polynomial:
                 acc[mono] = s
             else:
                 acc.pop(mono, None)
-        return Polynomial(self.nvars, acc)
+        return Polynomial._build(self.nvars, acc)
 
     def sub(self, other: "Polynomial") -> "Polynomial":
         return self.add(other.neg())
 
     def neg(self) -> "Polynomial":
-        return Polynomial(self.nvars, {m: -c for m, c in self.terms.items()})
+        return Polynomial._build(self.nvars, {m: -c for m, c in self.terms.items()})
 
     def scale(self, factor: Fraction | int) -> "Polynomial":
         f = Fraction(factor)
-        if f == 0:
-            return Polynomial(self.nvars)
-        return Polynomial(self.nvars, {m: c * f for m, c in self.terms.items()})
+        terms = {m: c * f for m, c in self.terms.items()} if f else {}
+        return Polynomial._build(self.nvars, terms)
 
     def mul(self, other: "Polynomial") -> "Polynomial":
-        self._check(other)
-        acc: Terms = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = m1.mul(m2)
-                s = acc.get(mono, Fraction(0)) + c1 * c2
-                if s:
-                    acc[mono] = s
-                else:
-                    acc.pop(mono, None)
-        return Polynomial(self.nvars, acc)
+        return self.mul_trunc(other, float("inf"))
 
-    def mul_trunc(self, other: "Polynomial", bound: int) -> "Polynomial":
+    def mul_trunc(self, other: "Polynomial", bound: float) -> "Polynomial":
         """Product with every term of total degree >= bound dropped."""
-        self._check(other)
+        if self.nvars != other.nvars:
+            raise ValueError("polynomial arity mismatch")
         acc: Terms = {}
         for m1, c1 in self.terms.items():
             if m1.degree >= bound:
@@ -258,35 +261,33 @@ class Polynomial:
                     acc[mono] = s
                 else:
                     acc.pop(mono, None)
-        return Polynomial(self.nvars, acc)
+        return Polynomial._build(self.nvars, acc)
 
     def truncate(self, bound: int) -> "Polynomial":
         """Drop all terms of total degree >= bound."""
-        return Polynomial(
+        return Polynomial._build(
             self.nvars, {m: c for m, c in self.terms.items() if m.degree < bound}
         )
 
-    def substitute(self, images: Sequence["Polynomial"], bound: int) -> "Polynomial":
-        """Replace variable i by images[i], truncating at total degree
-        ``bound`` in the image variables throughout."""
+    def substitute(
+        self, images: Sequence["Polynomial"], bound: int, *, nvars: int | None = None
+    ) -> "Polynomial":
+        """Replace variable i by images[i] in the ring of ``nvars`` variables
+        (by default the images'), truncating at total degree ``bound``
+        there throughout.  With no images, ``nvars`` must be given."""
         if len(images) != self.nvars:
             raise ValueError("substitution arity mismatch")
-        if not images:
-            target_nvars = 0
-        else:
-            target_nvars = images[0].nvars
-            if any(p.nvars != target_nvars for p in images):
-                raise ValueError("substitution images disagree on arity")
+        target_nvars = images[0].nvars if nvars is None and images else nvars
+        if target_nvars is None:
+            raise ValueError("substitution with no images needs the target arity")
+        if any(p.nvars != target_nvars for p in images):
+            raise ValueError("substitution images disagree on arity")
         return substitute_poly(
             self,
             images,
             lambda c: constant(target_nvars, c),
             lambda a, b: a.mul_trunc(b, bound),
         ).truncate(bound)
-
-    def _check(self, other: "Polynomial") -> None:
-        if self.nvars != other.nvars:
-            raise ValueError("polynomial arity mismatch")
 
     # -- formatting -------------------------------------------------------
     def format(self, names: Sequence[str]) -> str:
@@ -370,10 +371,7 @@ def format_terms(terms: Iterable[Tuple[Monomial, object]], names: Sequence[str])
 
 
 def constant(nvars: int, value: Fraction | int) -> Polynomial:
-    v = Fraction(value)
-    if v == 0:
-        return Polynomial(nvars)
-    return Polynomial(nvars, {unit_monomial(nvars): v})
+    return from_monomial(unit_monomial(nvars), value)
 
 
 def variable(nvars: int, index: int) -> Polynomial:
@@ -383,7 +381,8 @@ def variable(nvars: int, index: int) -> Polynomial:
 
 
 def from_monomial(mono: Monomial, coeff: Fraction | int = 1) -> Polynomial:
-    return Polynomial(len(mono), {mono: Fraction(coeff)})
+    c = Fraction(coeff)
+    return Polynomial._build(len(mono), {mono: c} if c else {})
 
 
 def embed_poly(poly: Polynomial, total_nvars: int, offset: int) -> Polynomial:
@@ -391,7 +390,7 @@ def embed_poly(poly: Polynomial, total_nvars: int, offset: int) -> Polynomial:
     if offset + poly.nvars > total_nvars:
         raise ValueError("embedding exceeds variable count")
     before, after = (0,) * offset, (0,) * (total_nvars - offset - poly.nvars)
-    return Polynomial(
+    return Polynomial._build(
         total_nvars, {Monomial(before + m + after): c for m, c in poly.terms.items()}
     )
 
@@ -557,7 +556,7 @@ class ReductionBasis:
         if poly.nvars != self.nvars:
             raise ValueError("polynomial arity mismatch with reduction basis")
         acc = {m: c for m, c in poly.terms.items() if m.degree < self.order}
-        return Polynomial(self.nvars, _eliminate(acc, self.rows))
+        return Polynomial._build(self.nvars, _eliminate(acc, self.rows))
 
     def quotient_basis(self) -> List[Monomial]:
         """Non-pivot monomials of degree < order, graded-lex ascending."""
@@ -588,10 +587,9 @@ def build_reduction_basis(
     """
     if order < 1:
         raise ValueError("nilpotency order must be >= 1")
-    gens = [g for g in generators]
-    for g in gens:
-        if g.nvars != nvars:
-            raise ValueError("generator arity mismatch")
+    gens = list(generators)
+    if any(g.nvars != nvars for g in gens):
+        raise ValueError("generator arity mismatch")
 
     # rows: pivot monomial -> monic row polynomial, kept fully reduced
     rows: Dict[Monomial, Polynomial] = {}
@@ -602,11 +600,11 @@ def build_reduction_basis(
             return
         pivot = min(acc, key=Monomial.key)
         lead = acc[pivot]
-        new_row = Polynomial(nvars, {m: c / lead for m, c in acc.items()})
+        new_row = Polynomial._build(nvars, {m: c / lead for m, c in acc.items()})
         # back-substitute into existing rows
         for other_pivot, other in rows.items():
             if pivot in other.terms:
-                rows[other_pivot] = Polynomial(
+                rows[other_pivot] = Polynomial._build(
                     nvars, _eliminate(dict(other.terms), [(pivot, new_row)])
                 )
         rows[pivot] = new_row

@@ -22,12 +22,8 @@ from .algebras import (
     zero_morphism,
 )
 from .errors import IdealViolation, ImproperIdeal
-from .expressions import Expr, SmoothMap, polynomial_to_expr
-from .polynomials import (
-    Polynomial,
-    monomials_of_degree,
-    monomials_up_to_degree,
-)
+from .expressions import Expr, SmoothMap, polynomial_map, polynomial_to_expr
+from .polynomials import Polynomial, monomial_range
 
 
 def case_label(seed: int, suite: str, index: int) -> str:
@@ -73,16 +69,12 @@ def random_polynomial(
     max_terms: int = 5,
     min_degree: int = 0,
 ) -> Polynomial:
-    pool = [
-        m
-        for m in monomials_up_to_degree(nvars, max_degree)
-        if m.degree >= min_degree
-    ]
+    pool = monomial_range(nvars, min_degree, max_degree + 1)
     if not pool:  # no variables and min_degree >= 1: only zero is left
         return Polynomial(nvars)
     count = rng.randint(1, min(max_terms, len(pool)))
     chosen = rng.sample(pool, count)
-    return Polynomial(nvars, {m: random_fraction(rng) for m in chosen})
+    return Polynomial._build(nvars, {m: random_fraction(rng) for m in chosen})
 
 
 def random_weil_algebra(
@@ -101,11 +93,11 @@ def random_weil_algebra(
             if order <= 2:
                 break
             degree = rng.randint(2, order - 1)
-            lead = rng.choice(list(monomials_of_degree(nvars, degree)))
+            lead = rng.choice(monomial_range(nvars, degree, degree + 1))
             terms = {lead: Fraction(1)}
             if rng.random() < 0.5:
                 other_degree = rng.randint(2, order - 1)
-                other = rng.choice(list(monomials_of_degree(nvars, other_degree)))
+                other = rng.choice(monomial_range(nvars, other_degree, other_degree + 1))
                 if other != lead:
                     terms[other] = random_fraction(rng, max_num=3, max_den=2)
             relations.append(Polynomial(nvars, terms))
@@ -122,16 +114,11 @@ def _var_names(nvars: int) -> Tuple[str, ...]:
     return tuple(f"x{i + 1}" for i in range(nvars))
 
 
-def random_poly_expr(rng: random.Random, arity: int, max_degree: int = 3) -> Expr:
-    return polynomial_to_expr(random_polynomial(rng, arity, max_degree, max_terms=4))
-
-
 def random_poly_map(
     rng: random.Random, arity: int, coarity: int, max_degree: int = 3
 ) -> SmoothMap:
-    return SmoothMap(
-        arity, tuple(random_poly_expr(rng, arity, max_degree) for _ in range(coarity))
-    )
+    polys = [random_polynomial(rng, arity, max_degree, max_terms=4) for _ in range(coarity)]
+    return polynomial_map(arity, polys)
 
 
 def random_smooth_map(
@@ -141,8 +128,11 @@ def random_smooth_map(
     real point: log and sqrt only ever see 1 + (polynomial)²."""
     from .expressions import Add, Call, Const, Mul, Pow
 
+    def poly(max_degree: int) -> Expr:
+        return polynomial_to_expr(random_polynomial(rng, arity, max_degree, max_terms=4))
+
     def one_output() -> Expr:
-        p = random_poly_expr(rng, arity, max_degree)
+        p = poly(max_degree)
         shape = rng.randrange(6)
         if shape == 0:
             return p
@@ -152,12 +142,12 @@ def random_smooth_map(
             guarded = Add(Const(Fraction(1)), Pow(p, 2))
             return Call(rng.choice(("log", "sqrt")), guarded)
         if shape == 3:
-            q = random_poly_expr(rng, arity, 2)
+            q = poly(2)
             return Mul(Call(rng.choice(("sin", "cos")), p), q)
         if shape == 4:
-            q = random_poly_expr(rng, arity, 2)
+            q = poly(2)
             return Add(Call("exp", q), p)
-        return Mul(p, Call("cos", random_poly_expr(rng, arity, 2)))
+        return Mul(p, Call("cos", poly(2)))
 
     return SmoothMap(arity, tuple(one_output() for _ in range(coarity)))
 
@@ -170,20 +160,12 @@ def random_morphism(
     """Rejection-sampled valid morphism in 25 attempts; the zero morphism
     is the always-valid fallback."""
     for _ in range(25):
-        psibar = []
-        for _ in range(source.nvars):
-            if rng.random() < 0.15:
-                psibar.append(Polynomial(target.nvars, {}))
-            else:
-                psibar.append(
-                    random_polynomial(
-                        rng,
-                        target.nvars,
-                        max_degree=target.order - 1,
-                        max_terms=3,
-                        min_degree=1,
-                    )
-                )
+        psibar = [
+            Polynomial(target.nvars)
+            if rng.random() < 0.15
+            else random_polynomial(rng, target.nvars, target.order - 1, 3, min_degree=1)
+            for _ in range(source.nvars)
+        ]
         try:
             return WeilMorphism(source, target, psibar)
         except IdealViolation:

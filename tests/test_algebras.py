@@ -690,6 +690,20 @@ def test_compose_through_a_zero_variable_algebra():
     assert composite.apply(a) == from_point.apply(to_point.apply(a)) == jet2.one().scale(3)
 
 
+def test_compose_through_the_real_line():
+    # into and out of R: each psibar of the composite is a polynomial in
+    # the target's variables, and the composite acts as the two steps do
+    line = real_line_algebra()
+    for source, target in ((D2, JET4), (JET4, D2), (line, JET4), (D2, line)):
+        into, out_of = zero_morphism(source, line), mk_morphism(line, target, [])
+        composite = into.compose(out_of)
+        assert (composite.source, composite.target) == (source, target)
+        assert composite.psibar == tuple(Polynomial(target.nvars) for _ in range(source.nvars))
+        assert composite == zero_morphism(source, target)
+        a = source.one().scale(5).add(source.var_element(0) if source.nvars else source.zero())
+        assert composite.apply(a) == out_of.apply(into.apply(a)) == target.one().scale(5)
+
+
 @settings(max_examples=25, deadline=None)
 @given(elements(DUAL), elements(DUAL))
 def test_apply_is_algebra_hom(a, b):

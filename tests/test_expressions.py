@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -42,6 +43,7 @@ from weilkit.expressions import (
 )
 from weilkit.lifting import taylor_lift_at
 from weilkit.polynomials import parse_polynomial, variable
+from weilkit.samplers import random_poly_map
 
 
 def parse1(text, arity=None):
@@ -398,6 +400,38 @@ class TestPolynomialExtraction:
         assert map_polynomials(g) == [variable(1, 0)]
         h = dataclasses.replace(g, outputs=(Call("sin", Var(0)),))
         assert h.has_call is True and map_polynomials(h) is None
+
+    def test_sampled_maps_keep_the_polynomials_their_expansion_gives(self):
+        for seed in range(200):
+            rng = random.Random(seed)
+            for arity in (1, 2, 3):
+                for coarity in (1, 2, 3):
+                    f = random_poly_map(rng, arity, coarity, max_degree=2 + seed % 2)
+                    assert f.polynomials is not None and f.calls is False
+                    expanded = map_polynomials(SmoothMap(f.arity, f.outputs))
+                    assert map_polynomials(f) == expanded
+                    picked = [i for i in range(coarity) if rng.random() < 0.5]
+                    assert map_polynomials(f.select(picked)) == [expanded[i] for i in picked]
+
+    def test_replace_starts_the_kept_polynomials_afresh(self):
+        f = random_poly_map(random.Random(5), 2, 2)
+        g = dataclasses.replace(f, outputs=(Call("sin", Var(0)),))
+        assert g.polynomials is None and g.calls is None
+        assert map_polynomials(g) is None and g.has_call
+        # the same outputs read in three variables expand again
+        h = dataclasses.replace(f, arity=3)
+        assert h.polynomials is None
+        assert map_polynomials(h) == map_polynomials(SmoothMap(3, f.outputs))
+        assert all(p.nvars == 3 for p in map_polynomials(h))
+
+    def test_kept_polynomials_come_back_as_a_fresh_list(self):
+        f = random_poly_map(random.Random(6), 2, 3)
+        first = map_polynomials(f)
+        expected = list(first)
+        first.append("junk")
+        first[0] = None
+        assert map_polynomials(f) == expected
+        assert map_polynomials(f) is not map_polynomials(f)
 
     def test_negative_power_of_constant_folds(self):
         p = expr_polynomial(parse1("2^-3 * t"), 1)

@@ -323,3 +323,63 @@ def test_generator_order_does_not_change_the_reduction_basis():
             shuffled = gens[:]
             rng.shuffle(shuffled)
             assert build_reduction_basis(shuffled, nvars, order) == basis
+
+
+def test_substitute_with_no_images_needs_the_target_arity():
+    # a polynomial in no variables is a constant; substituted into a
+    # 2-variable ring it is that constant there, not a 0-variable one
+    c = constant(0, Fraction(3, 4))
+    assert c.substitute([], 4, nvars=2) == constant(2, Fraction(3, 4))
+    assert Polynomial(0).substitute([], 4, nvars=2) == Polynomial(2)
+    assert c.substitute([], 1, nvars=2) == constant(2, Fraction(3, 4))
+    with pytest.raises(ValueError, match="target arity"):
+        c.substitute([], 4)
+
+
+def test_substitute_checks_the_given_arity_against_the_images():
+    p = P("x^2 - y^3")
+    t = parse_polynomial("t", ("t",))
+    assert p.substitute([t, t], 5, nvars=1) == p.substitute([t, t], 5)
+    with pytest.raises(ValueError, match="disagree on arity"):
+        p.substitute([t, t], 5, nvars=2)
+
+
+def _unchecked_results(rng: random.Random):
+    """Every result the kernel builds without the constructor's checks,
+    on seeded random operands."""
+    for nvars in range(4):
+        for _ in range(25):
+            p, q = (random_polynomial(rng, nvars, rng.randint(0, 3)) for _ in range(2))
+            bound = rng.randint(0, 4)
+            yield p.add(q)
+            yield p.sub(q)
+            yield p.sub(p)
+            yield p.mul(q)
+            yield p.mul_trunc(q, bound)
+            yield p.scale(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+            yield p.truncate(bound)
+            yield p.neg()
+            yield constant(nvars, rng.randint(-1, 1))
+    for _ in range(20):
+        nvars, order = rng.randint(1, 3), rng.randint(2, 5)
+        gens = [
+            random_polynomial(rng, nvars, max_degree=order, max_terms=3, min_degree=1)
+            for _ in range(rng.randint(1, 3))
+        ]
+        reduction = build_reduction_basis(gens, nvars, order)
+        for _ in range(5):
+            p = random_polynomial(rng, reduction.nvars, 4, max_terms=6)
+            yield reduction.normal_form(p)
+        for _, row in reduction.rows:
+            yield row
+
+
+def test_unchecked_results_keep_the_constructor_invariant():
+    count = 0
+    for p in _unchecked_results(random.Random(26)):
+        rebuilt = Polynomial(p.nvars, dict(p.terms))
+        assert p == rebuilt and hash(p) == hash(rebuilt)
+        assert all(c != 0 and type(c) is Fraction for c in p.terms.values())
+        assert all(len(m) == p.nvars for m in p.terms)
+        count += 1
+    assert count > 900
