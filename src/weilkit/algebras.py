@@ -119,8 +119,8 @@ class WeilPresentation:
     @staticmethod
     def from_file(path: str | Path) -> "WeilPresentation":
         try:
-            data = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (OSError, ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
             raise ParseError(f"cannot read presentation file {path}: {exc}") from exc
         if not isinstance(data, dict):
             raise ParseError("presentation file must hold a top-level record")

@@ -40,7 +40,7 @@ def _resolve_algebra(name_or_path: str) -> WeilAlgebra:
     if name_or_path in PRESETS:
         return preset_algebra(name_or_path)
     path = Path(name_or_path)
-    if not path.exists():
+    if not os.path.exists(path):  # unlike Path.exists, False on a name too long
         raise ParseError(
             f"{name_or_path!r} is neither a preset ({', '.join(sorted(PRESETS))}) "
             "nor an existing presentation file"

@@ -16,13 +16,12 @@ through a Weil algebra lives in the lifting module.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, ParseError, ScalarModeError
-from .polynomials import MAX_EXPONENT, Polynomial, constant, times_power, variable
+from .polynomials import _TOKEN, MAX_EXPONENT, Polynomial, constant, times_power, variable
 
 PRIMITIVES = ("sin", "cos", "exp", "log", "sqrt")
 
@@ -282,9 +281,6 @@ MAX_NESTING = 100
 # of a 50,000-term sum.  Every walk costs one step per distinct node.
 MAX_NODES = 200_000
 
-# a token is a run of decimal digits, a name, or one other character; so
-# a token that starts with a decimal digit is a number
-_TOKEN = re.compile(r"\s*(\d+|\w+|\S)")
 # infix operator -> (binding power, node type), all left-associative;
 # unary minus binds tighter, '^' tightest, and an open bracket holds 0
 _INFIX = {"+": (1, Add), "-": (1, Sub), "*": (2, Mul), "/": (2, Div)}

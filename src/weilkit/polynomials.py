@@ -29,6 +29,7 @@ canonical: zero exactly on ideal members, idempotent, linear.
 from __future__ import annotations
 
 import functools
+import re
 from fractions import Fraction
 from operator import add
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
@@ -401,113 +402,90 @@ def embed_poly(poly: Polynomial, total_nvars: int, offset: int) -> Polynomial:
 # whitespace is insignificant).
 
 
-def _name_char(ch: str) -> bool:
-    return ch.isalnum() or ch == "_"
+# a token is a run of decimal digits, a name, or one other character; so
+# a token that starts with a decimal digit is a number.  Maps are read
+# with the same tokens (see expressions).
+_TOKEN = re.compile(r"\s*(\d+|\w+|\S)")
+_NAME = re.compile(r"\w+")
+_SIGN_OR_END = ("+", "-", "")
 
 
 def is_variable_name(text: str) -> bool:
     """Whether the grammar reads ``text`` as one variable name: a
     nonempty run of name characters that does not open with a decimal
     digit, which the grammar reads as a number."""
-    return bool(text) and not text[0].isdecimal() and all(map(_name_char, text))
+    return _NAME.fullmatch(text) is not None and not text[0].isdecimal()
 
 
 def parse_polynomial(text: str, names: Sequence[str]) -> Polynomial:
     index = {name: i for i, name in enumerate(names)}
-    nvars = len(names)
-    pos = 0
-    n = len(text)
+    # (position, token) pairs, closed by an empty token at the end
+    tokens = [(match.start(1), match[1]) for match in _TOKEN.finditer(text)]
+    tokens.append((len(text), ""))
 
-    def skip_ws(p: int) -> int:
-        while p < n and text[p].isspace():
-            p += 1
-        return p
-
-    def read_int(p: int) -> Tuple[int, int]:
-        start = p
-        while p < n and text[p].isdecimal():
-            p += 1
-        if p == start:
-            raise ParseError("expected integer", start)
+    def integer(k: int) -> int:
+        at, token = tokens[k]
+        if not token[:1].isdecimal():
+            raise ParseError("expected integer", at)
         try:
-            return int(text[start:p]), p
+            return int(token)
         except ValueError:  # more digits than int() converts
-            raise ParseError("integer literal too long", start) from None
+            raise ParseError("integer literal too long", at) from None
 
-    def read_name(p: int) -> Tuple[str, int]:
-        start = p
-        while p < n and _name_char(text[p]):
-            p += 1
-        if p == start:
-            raise ParseError("expected variable name", start)
-        return text[start:p], p
-
-    acc: Terms = {}
-    pos = skip_ws(pos)
-    if pos == n:
+    if len(tokens) == 1:
         raise ParseError("empty polynomial", 0)
-    first = True
-    while pos < n:
-        sign = 1
-        pos = skip_ws(pos)
-        if not first or (pos < n and text[pos] in "+-"):
-            if pos >= n or text[pos] not in "+-":
-                raise ParseError("expected '+' or '-'", pos)
-            sign = -1 if text[pos] == "-" else 1
-            pos = skip_ws(pos + 1)
-        first = False
-
+    acc: Terms = {}
+    k = 0
+    while tokens[k][1]:  # every term but the first opens with its sign
+        sign = -1 if tokens[k][1] == "-" else 1
+        k += tokens[k][1] in ("+", "-")
+        at, token = tokens[k]
+        if token in _SIGN_OR_END:
+            raise ParseError("empty term", at)
         coeff = Fraction(1)
-        saw_coeff = False
-        exps = [0] * nvars
-        saw_factor = False
-
-        if pos < n and text[pos].isdecimal():
-            num, pos = read_int(pos)
-            pos2 = skip_ws(pos)
-            if pos2 < n and text[pos2] == "/":
-                den, pos = read_int(skip_ws(pos2 + 1))
-                if den == 0:
-                    raise ParseError("zero denominator", pos2)
-                coeff = Fraction(num, den)
-            else:
-                coeff = Fraction(num)
-            saw_coeff = True
-            pos = skip_ws(pos)
-            if pos < n and text[pos] == "*":
-                pos = skip_ws(pos + 1)
-            elif pos < n and text[pos] not in "+-":
-                raise ParseError("expected '*', '+', '-' or end after coefficient", pos)
-
-        while pos < n and text[pos] not in "+-":
-            name, pos = read_name(skip_ws(pos))
-            if name not in index:
-                raise ParseError(f"unknown variable {name!r}", pos - len(name))
-            e = 1
-            pos = skip_ws(pos)
-            if pos < n and text[pos] == "^":
-                e, pos = read_int(skip_ws(pos + 1))
-            exps[index[name]] += e
-            saw_factor = True
-            pos = skip_ws(pos)
-            if pos < n and text[pos] == "*":
-                pos = skip_ws(pos + 1)
-                if pos >= n or text[pos] in "+-":
-                    raise ParseError("dangling '*'", pos)
-            elif pos < n and text[pos] not in "+-":
-                raise ParseError("expected '*', '+', '-' or end", pos)
-
-        if not saw_coeff and not saw_factor:
-            raise ParseError("empty term", pos)
-        mono = Monomial(tuple(exps))
+        exps = [0] * len(names)
+        factor = not token[0].isdecimal()
+        if not factor:
+            coeff = Fraction(integer(k))
+            k += 1
+            if tokens[k][1] == "/":
+                den = integer(k + 1)
+                if not den:
+                    raise ParseError("zero denominator", tokens[k][0])
+                coeff /= den
+                k += 2
+        while True:
+            if factor:  # the maximal name run, which a digit may open
+                at = tokens[k][0]
+                name = _NAME.match(text, at)
+                if name is None:
+                    raise ParseError("expected variable name", at)
+                if name[0] not in index:
+                    raise ParseError(f"unknown variable {name[0]!r}", at)
+                while tokens[k][0] < name.end():
+                    k += 1
+                e = 1
+                if tokens[k][1] == "^":
+                    e = integer(k + 1)
+                    k += 2
+                exps[index[name[0]]] += e
+            at, token = tokens[k]
+            if token in _SIGN_OR_END:
+                break
+            if token != "*":
+                after = "" if factor else " after coefficient"
+                raise ParseError(f"expected '*', '+', '-' or end{after}", at)
+            k += 1
+            if tokens[k][1] in _SIGN_OR_END:
+                raise ParseError("dangling '*'", tokens[k][0])
+            factor = True
+        mono = _monomial(exps)
         s = acc.get(mono, Fraction(0)) + sign * coeff
         if s:
             acc[mono] = s
         else:
             acc.pop(mono, None)
-        pos = skip_ws(pos)
-
-    return Polynomial(nvars, acc)
+    return Polynomial._build(len(names), acc)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ bug, not a tolerance.
 from __future__ import annotations
 
 import json
+import os
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -211,7 +212,7 @@ def _parse_algebras(value: Any, base_dir: Optional[Path]) -> Tuple[Tuple[str, We
             path = Path(entry)
             if base_dir is not None and not path.is_absolute():
                 path = base_dir / path
-            if path.exists():
+            if os.path.exists(path):  # unlike Path.exists, False on a name too long
                 out.append((path.stem, _algebra_from_file(path)))
                 continue
             raise ConfigError(
@@ -221,7 +222,7 @@ def _parse_algebras(value: Any, base_dir: Optional[Path]) -> Tuple[Tuple[str, We
             path = Path(entry["file"])
             if base_dir is not None and not path.is_absolute():
                 path = base_dir / path
-            if not path.exists():
+            if not os.path.exists(path):
                 raise ConfigError(f"algebra file not found: {path}")
             out.append((path.stem, _algebra_from_file(path)))
             continue
@@ -244,12 +245,10 @@ def _algebra_from_file(path: Path) -> WeilAlgebra:
 def load_config(path: str | Path) -> SuiteConfig:
     path = Path(path)
     try:
-        text = path.read_text()
+        record = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        record = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return parse_config(record, base_dir=path.parent)
 

@@ -766,6 +766,66 @@ class TestCliUsage:
         capsys.readouterr()
 
 
+class TestUnreadableFiles:
+    """A presentation or config file that is no UTF-8 JSON, or whose JSON
+    nests past the decoder's depth, exits 2 with one line naming it."""
+
+    CONTENTS = {"not-utf-8": b"\xff\xfe{}", "too-deep": b"[" * 100000}
+
+    def run(self, argv, capsys):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return code, captured.err
+
+    @pytest.mark.parametrize("content", list(CONTENTS))
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["check", "{path}"],
+            ["lift", "--algebra", "{path}", "--expr", "x", "--at", "0"],
+            ["equiv", "--algebra", "{path}", "--f", "x", "--g", "x"],
+            ["verify", "--config", "{path}", "--out", "{out}"],
+        ],
+        ids=["check", "lift", "equiv", "verify"],
+    )
+    def test_exits_2_on_one_line(self, command, content, tmp_path, capsys):
+        path = tmp_path / "file.json"
+        path.write_bytes(self.CONTENTS[content])
+        argv = [arg.format(path=path, out=tmp_path / "r.json") for arg in command]
+        code, err = self.run(argv, capsys)
+        assert code == 2
+        assert err.startswith("error: ") and str(path) in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("content", list(CONTENTS))
+    def test_config_algebra_file_exits_2_on_one_line(self, content, tmp_path, capsys):
+        (tmp_path / "algebra.json").write_bytes(self.CONTENTS[content])
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"dims_grid": {"algebras": [{"file": "algebra.json"}]}}))
+        out = tmp_path / "r.json"
+        code, err = self.run(["verify", "--config", str(config), "--out", str(out)], capsys)
+        assert code == 2
+        assert err.startswith("error: could not load algebra from ") and "algebra.json" in err
+        assert len(err.splitlines()) == 1
+
+    def test_integer_past_the_digit_limit_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "wide.json"
+        path.write_text('{"variables": [], "relations": [], "nilpotency": ' + "1" * 5000 + "}")
+        code, err = self.run(["check", str(path)], capsys)
+        assert code == 2 and str(path) in err and len(err.splitlines()) == 1
+
+    def test_name_too_long_to_look_up_is_no_file(self, tmp_path, capsys):
+        name = "a" * 5000
+        code, err = self.run(["lift", "--algebra", name, "--expr", "t", "--at", "0"], capsys)
+        assert code == 2 and "nor an existing presentation file" in err
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"dims_grid": {"algebras": [name]}}))
+        out = tmp_path / "r.json"
+        code, err = self.run(["verify", "--config", str(config), "--out", str(out)], capsys)
+        assert code == 2 and "is neither a preset nor an existing file" in err
+
+
 # --- fuzzing `weilkit lift --expr` over the expression grammar ---------------
 #
 # Powers sit on leaves only, plus one exponent of any size on the whole
@@ -820,3 +880,114 @@ def test_lift_fuzz_ends_in_an_exit_code(algebra, expr, at):
         assert out.getvalue().startswith("mode ") and err.getvalue() == ""
     else:
         assert err.getvalue().startswith(("error: ", "usage: ")) and len(err.getvalue().splitlines()) <= 3
+
+
+# --- fuzzing presentation and config files ----------------------------------
+
+
+def _run_quietly(argv):
+    """main's exit code and stderr, with stdout thrown away."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _cut(documents):
+    """A JSON document cut short, or whole when the cut is past its end."""
+    return st.tuples(documents, st.integers(0, 1000)).map(lambda p: p[0][: p[1]].encode())
+
+
+_JSON_VALUES = st.sampled_from(
+    [None, True, 0, -1, 3, 2.5, 10**30, "x", "", "x^2", [], ["x"], [1], {}, {"x": 1}]
+)
+# brackets opened past the JSON decoder's depth, never closed
+_TOO_DEEP = st.tuples(
+    st.sampled_from(['{"dims_grid": ', "[", '{"a": [']), st.integers(1, 100000)
+).map(lambda p: (p[0] * p[1]).encode())
+_RELATION_SOUP = st.lists(
+    st.sampled_from(
+        ["x", "y", "x1", "θ", "²x", "2", "12", "٣", "²", "0", "9" * 5000,
+         "+", "-", "*", "/", "^", "(", ")", " ", "\xa0", "\t", "1000", "1001", "100000000"]
+    ),
+    max_size=10,
+).map("".join)
+_PRESENTATIONS = st.one_of(
+    st.fixed_dictionaries(
+        {
+            "variables": st.sampled_from([[], ["x"], ["x", "y"], ["x", "x1", "θ"]]),
+            "relations": st.lists(_RELATION_SOUP, max_size=3),
+            "nilpotency": st.integers(1, 6),
+        }
+    ),
+    # wrong field types, and fields left out
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "variables": st.one_of(_JSON_VALUES, st.lists(_JSON_VALUES, max_size=3)),
+            "relations": st.one_of(_JSON_VALUES, st.lists(_JSON_VALUES, max_size=3)),
+            "nilpotency": _JSON_VALUES,
+        },
+    ),
+).map(json.dumps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        _PRESENTATIONS.map(str.encode), st.binary(max_size=64), _cut(_PRESENTATIONS), _TOO_DEEP
+    )
+)
+def test_presentation_file_fuzz_ends_in_an_exit_code(tmp_path_factory, content):
+    path = tmp_path_factory.mktemp("presentation") / "algebra.json"
+    path.write_bytes(content)
+    started = time.monotonic()
+    code, err = _run_quietly(["check", str(path)])
+    assert time.monotonic() - started < 5.0
+    assert code in (0, 2, 3)
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
+# every config has one field that fails validation, so no suite runs
+_BAD_CONFIGS = st.tuples(
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "suites": st.one_of(_JSON_VALUES, st.just(["ring-laws"])),
+            "seed": st.one_of(_JSON_VALUES, st.just(2**64)),
+            "cases": st.one_of(_JSON_VALUES, st.just({"pairing": 0})),
+            "degree_bound": st.one_of(_JSON_VALUES, st.just(7)),
+            "dims_grid": st.one_of(
+                _JSON_VALUES,
+                st.fixed_dictionaries({"algebras": st.lists(_JSON_VALUES, max_size=2)}),
+            ),
+        },
+    ),
+    st.sampled_from(
+        [("suites", ["made-up"]), ("seed", -1), ("cases", 0), ("degree_bound", "2"),
+         ("dims_grid", {"n": []}), ("dims_grid", {"algebras": "dual"}), ("sutes", [])]
+    ),
+).map(lambda p: json.dumps({**p[0], p[1][0]: p[1][1]}))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        _BAD_CONFIGS.map(str.encode),
+        # a config is a JSON object, which opens with '{'
+        st.binary(max_size=64).filter(lambda content: not content.lstrip().startswith(b"{")),
+        _cut(_BAD_CONFIGS),
+        _TOO_DEEP,
+    )
+)
+def test_config_file_fuzz_exits_2(tmp_path_factory, content):
+    directory = tmp_path_factory.mktemp("config")
+    config, out = directory / "config.json", directory / "report.json"
+    config.write_bytes(content)
+    with mock.patch.object(cli, "run_suite", side_effect=AssertionError("a suite ran")):
+        code, err = _run_quietly(["verify", "--config", str(config), "--out", str(out)])
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
