@@ -912,6 +912,21 @@ def real_line_algebra() -> WeilAlgebra:
 # Morphisms
 
 
+def _basis_values(source: WeilAlgebra, gens, images: Sequence, const, mul) -> list:
+    """Check that each generator in ``gens`` vanishes at ``images``, then
+    return each source basis monomial's value there by basis position (1
+    is at 0); both read one table of monomial values."""
+    powers: dict = {}
+    for gen in gens:
+        if not substitute_poly(gen, images, const, powers=powers).is_zero():
+            raise IdealViolation(
+                f"generator {gen.format(source.names)} does not map into the target ideal"
+            )
+    return [const(Fraction(1))] + [
+        _monomial_value(mono, images, mul, powers) for mono in source.basis[1:]
+    ]
+
+
 class WeilMorphism:
     """Algebra map represented by substitution data psibar: one target
     polynomial per source variable.
@@ -944,17 +959,8 @@ class WeilMorphism:
         # the quotient map is a ring homomorphism, so substituting the
         # classes of psibar in the target gives the class of gen(psibar)
         images = [target.from_polynomial(p) for p in self.psibar]
-        powers: dict = {}  # monomial values at the images, shared by both loops
         gens = source.relations if source.order >= target.order else source.ideal_generators()
-        for gen in gens:
-            if not substitute_poly(gen, images, target.const, powers=powers).is_zero():
-                raise IdealViolation(
-                    f"generator {gen.format(source.names)} does not map into the target ideal"
-                )
-        # each source basis monomial's image by basis position (1 is at 0)
-        self._basis_images = [target.one()] + [
-            _monomial_value(mono, images, WeilElement.mul, powers) for mono in source.basis[1:]
-        ]
+        self._basis_images = _basis_values(source, gens, images, target.const, WeilElement.mul)
 
     def apply(self, element: WeilElement) -> WeilElement:
         """The sum of the basis images weighted by the coordinates, in
@@ -1039,7 +1045,7 @@ def compose_morphism(first: WeilMorphism, second: WeilMorphism) -> WeilMorphism:
 # Tensor products
 
 
-def _tensor_names(total: int) -> Tuple[str, ...]:
+def _numbered_names(total: int) -> Tuple[str, ...]:
     return tuple(f"x{i + 1}" for i in range(total))
 
 
@@ -1074,7 +1080,7 @@ def tensor(w1: WeilAlgebra, w2: WeilAlgebra) -> WeilAlgebra:
         w1._embedded_generators(total, 0) + w2._embedded_generators(total, w1.nvars),
         (w1, w2),
     )
-    return WeilAlgebra(_tensor_names(total), relations, order)
+    return WeilAlgebra(_numbered_names(total), relations, order)
 
 
 def _tensor_of(w1: WeilAlgebra, w2: WeilAlgebra, t: WeilAlgebra | None) -> WeilAlgebra:

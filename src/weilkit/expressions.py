@@ -23,7 +23,15 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .errors import DomainError, ParseError, ScalarModeError
 from .polynomials import _TOKEN, MAX_EXPONENT, Polynomial, constant, times_power, variable
 
-PRIMITIVES = ("sin", "cos", "exp", "log", "sqrt")
+_FLOAT_FNS = {
+    "sin": math.sin,
+    "cos": math.cos,
+    "exp": math.exp,
+    "log": math.log,
+    "sqrt": math.sqrt,
+}
+
+PRIMITIVES = tuple(_FLOAT_FNS)
 
 VAR_ALIASES: Dict[str, int] = {"t": 0, "x": 0, "y": 1}
 
@@ -462,6 +470,8 @@ def _parse(text: str):
 
 
 def parse_smooth_map(text: str, arity: int | None = None) -> SmoothMap:
+    if arity is not None and arity < 0:
+        raise ValueError("arity must be nonnegative")
     if not text.strip():
         raise ParseError("empty expression", 0)
     outputs, used, calls = _parse(text)
@@ -474,14 +484,6 @@ def parse_smooth_map(text: str, arity: int | None = None) -> SmoothMap:
 
 # ---------------------------------------------------------------------------
 # scalar evaluation
-
-_FLOAT_FNS = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "exp": math.exp,
-    "log": math.log,
-    "sqrt": math.sqrt,
-}
 
 
 def _div(e: Div, num, den):

@@ -28,6 +28,7 @@ from .algebras import (
     RingCoords,
     WeilAlgebra,
     WeilElement,
+    _basis_values,
     _factor_positions,
     real_line_algebra,
     tensor,
@@ -327,17 +328,8 @@ class DomainMorphism:
                 raise AlgebraMismatch("image outside the target carrier")
         n, algebra = target.base_arity, target.weil
         const = lambda c: wpoly_const(n, algebra, c)
-        powers: dict = {}
-        for gen in source.weil.ideal_generators():
-            image = substitute_poly(gen, self.weil_part, const, powers=powers)
-            if not image.is_zero():
-                raise IdealViolation(
-                    f"images do not annihilate the relation {gen.format(source.weil.names)}"
-                )
-        images = [const(Fraction(1))] + [  # the unit monomial is basis position 0
-            _monomial_value(mono, self.weil_part, WeilPoly.mul, powers)
-            for mono in source.weil.basis[1:]
-        ]
+        gens = source.weil.ideal_generators()
+        images = _basis_values(source.weil, gens, self.weil_part, const, WeilPoly.mul)
         self._table_den = den = math.lcm(*(image._den for image in images))
         self._table = [
             {key: [x * (den // image._den) for x in row] for key, row in image._rows.items()}

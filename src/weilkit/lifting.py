@@ -60,7 +60,6 @@ from .expressions import (
     Sub,
     Var,
     _FLOAT_FNS,
-    _SCALAR,
     fold_expr,
     format_map,
     is_polynomial_map,
@@ -410,24 +409,14 @@ def taylor_lift_at(
 
 
 def _check_exact_at(f: SmoothMap, algebra: WeilAlgebra, base: Sequence[Scalar]) -> None:
-    """Fold f in exact numbers at the base point.  They are the exact
-    lift's augmentations, met in the same order, so a primitive that is
-    irrational there raises the lift's ScalarModeError before any element
-    is built.  Any other error stops the fold, for the lift to raise."""
+    """Lift f at the base point's exact numbers, by the lift's own number
+    rules.  They are the exact lift's augmentations, met in the same
+    order, so whatever the lift would raise, a ScalarModeError at an
+    irrational primitive or any other error, is raised at the same node
+    before any element is built."""
     base = [Fraction(algebra._coerce(b, RATIONAL)) for b in base]
-    rules = {
-        **_SCALAR,
-        Const: lambda e: algebra._coerce(e.value, RATIONAL),
-        Var: lambda e: base[e.index],
-        Call: lambda e, v: taylor_coefficients(e.fn, v, 1, RATIONAL)[0],
-    }
-    try:
-        for o in f.outputs:
-            fold_expr(o, rules)
-    except ScalarModeError:
-        raise
-    except Exception:  # the lift raises its own, at the same node
-        pass
+    for o in f.outputs:
+        lift_expr(o, base, weil_context(algebra, RATIONAL))
 
 
 def lift_with_fallback(

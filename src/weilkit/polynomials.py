@@ -419,6 +419,8 @@ def is_variable_name(text: str) -> bool:
 
 def parse_polynomial(text: str, names: Sequence[str]) -> Polynomial:
     index = {name: i for i, name in enumerate(names)}
+    if len(index) != len(names):
+        raise ValueError("variable names must be distinct")
     # (position, token) pairs, closed by an empty token at the end
     tokens = [(match.start(1), match[1]) for match in _TOKEN.finditer(text)]
     tokens.append((len(text), ""))

@@ -14,10 +14,12 @@ from fractions import Fraction
 from typing import List, Tuple
 
 from .algebras import (
+    PRESETS,
     RATIONAL,
     WeilAlgebra,
     WeilElement,
     WeilMorphism,
+    _numbered_names as _var_names,
     preset_algebra,
     zero_morphism,
 )
@@ -107,11 +109,7 @@ def random_weil_algebra(
             continue
         if 2 <= algebra.dimension <= max_dimension:
             return algebra
-    return preset_algebra(rng.choice(("dual", "jet2", "jet3", "d2")))
-
-
-def _var_names(nvars: int) -> Tuple[str, ...]:
-    return tuple(f"x{i + 1}" for i in range(nvars))
+    return preset_algebra(rng.choice(tuple(PRESETS)))
 
 
 def random_poly_map(

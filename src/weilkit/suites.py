@@ -101,15 +101,7 @@ class SuiteConfig:
 
 
 def default_config() -> SuiteConfig:
-    return SuiteConfig(
-        suites=tuple(DEFAULT_CASES),
-        seed=7,
-        cases=dict(DEFAULT_CASES),
-        degree_bound=2,
-        grid_n=(0, 1, 2),
-        grid_m=(1, 2),
-        algebras=tuple((name, preset_algebra(name)) for name in sorted(PRESETS)),
-    )
+    return parse_config({"seed": 7})
 
 
 def parse_config(record: Any, base_dir: Optional[Path] = None) -> SuiteConfig:

@@ -94,6 +94,13 @@ class TestParsing:
         f = parse_smooth_map("t0", arity=4)
         assert f.arity == 4
 
+    @pytest.mark.parametrize("text", ["1", "t", "", "t +"])
+    def test_a_negative_arity_is_refused_before_parsing(self, text):
+        # it read as "expression uses t-1 but arity is -3" for a map
+        # that uses no variable
+        with pytest.raises(ValueError, match="^arity must be nonnegative$"):
+            parse_smooth_map(text, arity=-3)
+
     def test_precedence(self):
         e = parse1("1 + 2*t^3")
         assert e == Add(Const(Fraction(1)), Mul(Const(Fraction(2)), Pow(Var(0), 3)))

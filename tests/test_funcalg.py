@@ -348,6 +348,13 @@ class TestDomainMorphisms:
         with pytest.raises(IdealViolation):
             DomainMorphism(Domain(0, DUAL), target, [], [wpoly_base_var(1, RLINE, 0)])
 
+    def test_ideal_violation_names_the_generator(self):
+        # the text WeilMorphism raises: the first generator that fails
+        target = Domain(1, RLINE)
+        with pytest.raises(IdealViolation) as info:
+            DomainMorphism(Domain(0, DUAL), target, [], [wpoly_base_var(1, RLINE, 0)])
+        assert str(info.value) == "generator x^2 does not map into the target ideal"
+
     def test_relation_enforced_beyond_witnesses(self):
         # jet2 has t^3 = 0: sending its generator to the d2 generator x1
         # works, but sending the d2 generator to the jet2 generator does

@@ -1264,6 +1264,28 @@ class TestExactCheck:
                 lift_with_fallback(f, jet_algebra(4), [at])
             assert str(info.value) == outcome
 
+    @pytest.mark.parametrize(
+        "text, at, message",
+        [
+            ("1/(t - t) + exp(t)", F(1, 2), NOT_INVERTIBLE),
+            ("(1/(1/10 + 2/10 - 3/10), exp(t))", F(1, 2), NOT_INVERTIBLE),
+            ("(t^-1*0 + log(t), exp(t))", F(0), NOT_INVERTIBLE),
+            ("(log(t - 1/2), exp(t))", F(1, 2), "log undefined or not smooth at 0"),
+        ],
+    )
+    def test_a_failing_attempt_builds_no_element(self, text, at, message, monkeypatch):
+        # whatever the error, the check raises it at the node where the
+        # lift would, before the lift builds its point
+        f, algebra, built = parse_smooth_map(text, 1), jet_algebra(4), []
+        init = WeilElement.__init__
+        monkeypatch.setattr(
+            WeilElement, "__init__", lambda self, *a, **k: built.append(a) or init(self, *a, **k)
+        )
+        with pytest.raises(DomainError) as info:
+            taylor_lift_at(f, algebra, [at], RATIONAL)
+        assert str(info.value) == message
+        assert built == []
+
     def test_it_runs_only_for_maps_with_a_primitive(self, monkeypatch):
         folded = []
         monkeypatch.setattr(lifting, "_check_exact_at", lambda f, *rest: folded.append(f))

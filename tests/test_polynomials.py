@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weilkit.algebras import preset_algebra
+from weilkit.algebras import WeilAlgebra, WeilPresentation, mk_weil_algebra, preset_algebra
 from weilkit.errors import AlgebraMismatch, ImproperIdeal, ParseError
 from weilkit.polynomials import (
     Monomial,
@@ -117,6 +117,18 @@ def test_parse_refuses_a_dangling_star_after_a_coefficient(bad, position):
     assert exc.value.position == position
     # the reader this one replaced took the '*' for no '*' at all
     assert isinstance(reference_parse(bad, ("x", "y")), Polynomial)
+
+
+def test_parse_refuses_duplicate_names():
+    # the second "x" took the first one's place in the name table
+    with pytest.raises(ValueError, match="^variable names must be distinct$"):
+        parse_polynomial("x", ["x", "x"])
+    # so a hand-built presentation fails as the algebra's own check does
+    duplicated = WeilPresentation(("x", "x"), ("x^2",), 3)
+    with pytest.raises(ValueError, match="^variable names must be distinct$"):
+        mk_weil_algebra(duplicated)
+    with pytest.raises(ValueError, match="^variable names must be distinct$"):
+        WeilAlgebra(("x", "x"), (), 3)
 
 
 def test_parse_reads_a_name_that_a_digit_opens():
